@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,12 +48,25 @@ class BidDataset:
 
 
 def read_bid_csv(path) -> list[BidRecord]:
+    """Records of a raw or normalized bid CSV; every bid finite and non-negative."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != RAW_HEADER:
             raise AuctionError(f"expected header {RAW_HEADER}, got {header}")
-        return [BidRecord(row[0], row[1], float(row[2])) for row in reader]
+        records = []
+        for line, row in enumerate(reader, start=2):
+            try:
+                advertiser, auction, text = row
+                bid = float(text)
+            except ValueError:
+                raise AuctionError(f"{path} line {line}: expected "
+                                   f"advertiser_id,auction_id,numeric bid, got {row}") from None
+            if not (math.isfinite(bid) and bid >= 0.0):
+                raise AuctionError(f"{path} line {line}: bid {text!r} must be finite "
+                                   "and non-negative")
+            records.append(BidRecord(advertiser, auction, bid))
+        return records
 
 
 def write_bid_csv(path, records: Iterable[BidRecord]) -> None:
@@ -182,9 +196,12 @@ def save_dataset(dataset: BidDataset, csv_path, sidecar_path) -> None:
 
 
 def load_dataset(csv_path, sidecar_path) -> BidDataset:
-    sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
+    try:
+        sidecar = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
+        mode = sidecar["mode"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise AuctionError(f"unreadable dataset sidecar {sidecar_path}: {exc}") from None
     records = read_bid_csv(csv_path)
-    mode = sidecar["mode"]
     ds = BidDataset(mode=mode, meta=sidecar.get("meta", {}))
     if mode == INDEPENDENT:
         by_adv: dict[str, list[float]] = {}

@@ -1,9 +1,9 @@
-"""Mechanism composition: the four allocation/pricing pairs as one interface.
+"""The four formats behind one interface, and the queries built on them.
 
-Also hosts the counterfactual query used by learners and equilibrium
-verifiers, the deviation-inequality check behind the welfare-loss bounds,
-the empirical welfare-ratio estimator, and random instance generators used
-throughout the property tests.
+``run_auction`` composes an allocator with its pricing rule (both from
+:mod:`.pricing`); ``utility_of`` prices one bidder only.  Also here: the
+deviation-inequality check behind the welfare-loss bounds, the empirical
+welfare ratio, and the random instances the property tests draw.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import pricing as _pricing
-from .allocation import greedy_slot_vector, optimal_slot_vector, weight_matrix
+from .allocation import optimal_slot_vector, weight_matrix
 from .model import (Assignment, AuctionError, AuctionInstance, AuctionOutcome, Bidder,
                     DiscountCurve, TOL, as_bids)
 
@@ -48,12 +48,6 @@ class Format(enum.Enum):
 ALL_FORMATS = (Format.GREEDY_GSP, Format.GREEDY_VCG, Format.OPT_GSP, Format.OPT_VCG)
 
 
-def _slots(instance: AuctionInstance, bids: np.ndarray, fmt: Format) -> np.ndarray:
-    weights = weight_matrix(instance, bids)
-    fn = greedy_slot_vector if fmt.allocation == "greedy" else optimal_slot_vector
-    return fn(weights)
-
-
 def run_auction(instance: AuctionInstance, bids, fmt: Format, *,
                 gsp_bid_grid=None) -> AuctionOutcome:
     """Evaluate one bid profile under one mechanism; pure and deterministic.
@@ -62,7 +56,7 @@ def run_auction(instance: AuctionInstance, bids, fmt: Format, *,
     to a discrete grid (used when bids themselves live on a learner grid).
     """
     b = as_bids(instance, bids)
-    slot_of = _slots(instance, b, fmt)
+    slot_of = _pricing.allocator(fmt.allocation)(weight_matrix(instance, b))
     if fmt.pricing == "gsp":
         grid = gsp_bid_grid if fmt.allocation == "optimal" else None
         prices = _pricing.price_gsp(instance, b, fmt.allocation, bid_grid=grid)
@@ -95,49 +89,14 @@ def utility_of(instance: AuctionInstance, bids, bidder_id: int, fmt: Format) -> 
     """Payoff of one bidder without pricing everyone else (hot-path helper)."""
     b = as_bids(instance, bids)
     instance._check_bidder(bidder_id)
-    slot_of = _slots(instance, b, fmt)
+    weights = weight_matrix(instance, b)
+    slot_of = _pricing.allocator(fmt.allocation)(weights)
     s = int(slot_of[bidder_id])
     if s < 0:
         return 0.0
-    d = instance.delta[bidder_id, s - 1]
-    if fmt.pricing == "gsp":
-        if fmt.allocation == "greedy":
-            expected = _greedy_gsp_expected_for(instance, b, slot_of, bidder_id)
-        else:
-            crit = _pricing._critical_bid_optimal(instance, b, bidder_id, s, None)
-            expected = d * crit
-    else:
-        expected = _vcg_expected_for(instance, b, slot_of, bidder_id, fmt)
-    return d * instance.values[bidder_id] - expected
-
-
-def _greedy_gsp_expected_for(instance, b, slot_of, i) -> float:
-    s = int(slot_of[i])
-    weights = weight_matrix(instance, b)
-    competitors = (slot_of == -1) | (slot_of > s)
-    competitors[i] = False
-    if not competitors.any():
-        return 0.0
-    return max(float(weights[competitors, s - 1].max()), 0.0)
-
-
-def _vcg_expected_for(instance, b, slot_of, i, fmt: Format) -> float:
-    weights = weight_matrix(instance, b)
-    fn = greedy_slot_vector if fmt.allocation == "greedy" else optimal_slot_vector
-    active = np.ones(instance.n, dtype=bool)
-    active[i] = False
-    without = fn(weights, active)
-    others_without = _total_weight(weights, without)
-    with_i = _total_weight(weights, slot_of) - float(weights[i, slot_of[i] - 1])
-    e = others_without - with_i
-    if -TOL <= e < 0.0:
-        e = 0.0
-    return e
-
-
-def _total_weight(weights: np.ndarray, slot_of: np.ndarray) -> float:
-    idx = np.flatnonzero(slot_of > 0)
-    return float(weights[idx, slot_of[idx] - 1].sum())
+    _, expected = _pricing.payment(instance, b, weights, slot_of, bidder_id,
+                                   fmt.allocation, fmt.pricing)
+    return instance.delta[bidder_id, s - 1] * instance.values[bidder_id] - expected
 
 
 def counterfactual_utility(instance: AuctionInstance, bids, bidder_id: int,
@@ -150,11 +109,10 @@ def counterfactual_utility(instance: AuctionInstance, bids, bidder_id: int,
     return utility_of(instance, b, bidder_id, fmt)
 
 
-def optimal_true_welfare(instance: AuctionInstance) -> float:
-    """Best achievable welfare: max-weight matching on the true values."""
-    slot_of = optimal_slot_vector(weight_matrix(instance, instance.values.copy()))
-    idx = np.flatnonzero(slot_of > 0)
-    return float((instance.delta[idx, slot_of[idx] - 1] * instance.values[idx]).sum())
+def optimal_true_welfare(instance: AuctionInstance, values: np.ndarray | None = None) -> float:
+    """Best achievable welfare: max-weight matching on the true values (or ``values``)."""
+    weights = weight_matrix(instance, instance.values if values is None else values)
+    return _pricing.welfare_of(weights, optimal_slot_vector(weights))
 
 
 def smoothness_parameters(instance: AuctionInstance, fmt: Format) -> tuple[float, float]:
@@ -188,20 +146,13 @@ def check_semismoothness(instance: AuctionInstance, bids, fmt: Format, *,
     mu = mu0 if mu is None else mu
     if math.isinf(mu):
         return math.inf
-    slot_of = _slots(instance, b, fmt)
-    idx = np.flatnonzero(slot_of > 0)
-    realized_w = float((instance.delta[idx, slot_of[idx] - 1] * vals[idx]).sum())
-    opt = _opt_welfare(instance, vals)
+    slot_of = _pricing.allocator(fmt.allocation)(weight_matrix(instance, b))
+    realized_w = _pricing.welfare_of(weight_matrix(instance, vals), slot_of)
+    opt = optimal_true_welfare(instance, vals)
     dev_total = 0.0
     for i in range(instance.n):
         dev_total += counterfactual_utility(instance, b, i, vals[i] / 2.0, fmt)
     return dev_total - (lam * opt - mu * realized_w)
-
-
-def _opt_welfare(instance: AuctionInstance, vals: np.ndarray) -> float:
-    slot_of = optimal_slot_vector(instance.delta * vals[:, None])
-    idx = np.flatnonzero(slot_of > 0)
-    return float((instance.delta[idx, slot_of[idx] - 1] * vals[idx]).sum())
 
 
 def empirical_poa(instance: AuctionInstance, outcomes: Iterable[AuctionOutcome]) -> float:

@@ -22,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import greedy_slot_vector, optimal_slot_vector
+from . import pricing as _pricing
 from .analytic import TwoByTwoSetting, equilibrium_strategy, simulate_profiles
 from .datasets import BidDataset
 from .engine import Format, outcome_utilities, optimal_true_welfare, run_auction
 from .learning import AverageEmpiricalDistribution, BidGrid, ExpWeights, optimal_learning_rate
-from .model import (AuctionError, AuctionInstance, Bidder, TOL, geometric_curve)
+from .model import AuctionError, AuctionInstance, Bidder, geometric_curve
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +66,10 @@ class ExperimentConfig:
         extra = set(doc) - known
         if extra:
             raise AuctionError(f"unknown config keys: {sorted(extra)}")
+        for key in ("d", "V", "M", "S", "N_s", "N_l", "N_t", "N_e", "seed"):
+            value = doc.get(key, 0)
+            if type(value) is not int and not (key == "V" and value is None):
+                raise AuctionError(f"config key {key!r} must be an integer, got {value!r}")
         kwargs = dict(doc)
         kwargs["formats"] = tuple(Format.parse(f) for f in doc.get("formats", []))
         kwargs["delta"] = tuple(float(x) for x in doc.get("delta", ()))
@@ -303,77 +307,40 @@ def _run_exp1_format(config, setting, vals, fmt, fmt_seed, *,
 
 def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: Format,
                    arms: np.ndarray, *, realized_arm: int | None = None,
-                   realized_slot: int = -1, realized_utility: float = 0.0,
-                   grid_pricing: bool = True) -> np.ndarray:
+                   realized_slot: int = -1, realized_utility: float = 0.0) -> np.ndarray:
     """Bidder i's payoff at every alternative bid, others' bids fixed.
 
     The realized arm's payoff is injected rather than recomputed so a round
-    costs exactly one evaluation per alternative bid.  Under optimal+GSP
-    prices come from the grid scan (minimum arm retaining the slot) unless
-    ``grid_pricing`` is off, in which case each arm's critical bid is
-    bisected like the standalone pricer.
+    costs exactly one evaluation per alternative bid.  Under optimal+GSP the
+    price is the grid one: the lowest arm that wins the same slot, read off
+    the sweep's own slot schedule, so ``arms`` must be ascending (a
+    :class:`BidGrid`).
     """
-    from .pricing import _critical_bid_optimal
-
-    n = instance.n
     delta = instance.delta
     v_i = float(instance.values[i])
-    weights = delta * bids[:, None]
-    slot_fn = greedy_slot_vector if fmt.allocation == "greedy" else optimal_slot_vector
-    k = arms.size
-    u = np.empty(k)
-    others_without = 0.0
-    if fmt.pricing == "vcg":
-        active = np.ones(n, dtype=bool)
-        active[i] = False
-        without = slot_fn(weights, active)
-        idx = np.flatnonzero(without > 0)
-        others_without = float(weights[idx, without[idx] - 1].sum())
-    defer_gsp = fmt is Format.OPT_GSP and grid_pricing
-    slots = np.full(k, -1, dtype=np.intp)
-    base_row = weights[i].copy()
-    for a in range(k):
-        if realized_arm is not None and a == realized_arm:
-            slots[a] = realized_slot
+    allocation, pricing = fmt.allocation, fmt.pricing
+    trial = bids.copy()
+    weights = delta * trial[:, None]
+    allocate = _pricing.allocator(allocation)
+    others_without = (_pricing.welfare_without(weights, i, allocation)
+                      if pricing == "vcg" else None)
+    lowest: dict[int, float] = {}  # slot -> lowest arm winning it
+    u = np.zeros(arms.size)
+    for a in range(arms.size):
+        if a == realized_arm:
+            lowest.setdefault(realized_slot, float(arms[a]))
             u[a] = realized_utility
             continue
+        trial[i] = arms[a]
         weights[i] = delta[i] * arms[a]
-        sv = slot_fn(weights)
-        s = int(sv[i])
-        slots[a] = s
-        if s < 0:
-            u[a] = 0.0
-            continue
-        d_is = delta[i, s - 1]
-        if defer_gsp:
-            u[a] = d_is * v_i  # price applied after the scan
-        elif fmt.pricing == "gsp" and fmt.allocation == "greedy":
-            competitors = (sv == -1) | (sv > s)
-            competitors[i] = False
-            pay = float(weights[competitors, s - 1].max()) if competitors.any() else 0.0
-            u[a] = d_is * v_i - max(pay, 0.0)
-        elif fmt is Format.OPT_GSP:
-            trial = bids.copy()
-            trial[i] = arms[a]
-            crit = _critical_bid_optimal(instance, trial, i, s, None)
-            u[a] = d_is * (v_i - crit)
-        else:
-            idx = np.flatnonzero(sv > 0)
-            others_with = float(weights[idx, sv[idx] - 1].sum()) - float(weights[i, s - 1])
-            pay = others_without - others_with
-            if -TOL <= pay < 0.0:
-                pay = 0.0
-            u[a] = d_is * v_i - pay
-    weights[i] = base_row
-    if defer_gsp:
-        for a in range(k):
-            if realized_arm is not None and a == realized_arm:
-                continue
-            s = slots[a]
-            if s < 0:
-                continue
-            crit = float(arms[slots == s].min())
-            u[a] -= delta[i, s - 1] * crit
+        slot_of = allocate(weights)
+        s = int(slot_of[i])
+        lowest.setdefault(s, float(arms[a]))
+        if s > 0:
+            _, pay = _pricing.payment(instance, trial, weights, slot_of, i, allocation,
+                                      pricing, others_without=others_without,
+                                      critical=lowest[s])
+            u[a] = delta[i, s - 1] * v_i - pay
     return u
 
 

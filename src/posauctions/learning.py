@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -139,10 +139,6 @@ class ExpWeights:
         return (best - self.cumulative_expected) / self.rounds
 
 
-def average_regret(state: ExpWeights) -> float:
-    return state.average_regret()
-
-
 def certify_cce(states: Iterable[ExpWeights], epsilon: float) -> bool:
     """Every player's average regret at most epsilon.
 
@@ -151,21 +147,6 @@ def certify_cce(states: Iterable[ExpWeights], epsilon: float) -> bool:
     coarse correlated equilibrium.
     """
     return all(s.average_regret() <= epsilon for s in states)
-
-
-def learn_until_cce(states: Sequence[ExpWeights], play_rounds: Callable[[int], None],
-                    epsilon: float, *, block: int = 1000, max_retries: int = 10) -> bool:
-    """Re-run learning blocks until the CCE certificate holds.
-
-    ``play_rounds(k)`` must advance the shared game by k rounds, updating all
-    the given states.  Retries are capped; returns the final certificate
-    instead of looping forever.
-    """
-    for _ in range(max_retries):
-        if certify_cce(states, epsilon):
-            return True
-        play_rounds(block)
-    return certify_cce(states, epsilon)
 
 
 def write_trace_csv(path, learners: Sequence[ExpWeights], player_labels: Sequence[str]) -> None:

@@ -192,14 +192,6 @@ class Assignment:
             out[b] = s
         return out
 
-    def validate_for(self, instance: AuctionInstance) -> None:
-        for b, s in self.slot_of.items():
-            instance._check_bidder(b)
-            if not 1 <= s <= instance.slot_count:
-                raise AuctionError(f"slot {s} out of range")
-        if instance.n >= instance.slot_count and len(self.slot_of) < instance.slot_count:
-            raise AuctionError("every slot must be filled when bidders >= slots")
-
 
 @dataclass(frozen=True)
 class AuctionOutcome:

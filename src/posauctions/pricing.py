@@ -1,9 +1,11 @@
-"""GSP and VCG pricing meta-rules, parameterized by the allocation algorithm.
+"""The mechanism rules: allocator lookup, welfare, and every format's payment.
 
 GSP charges the minimum bid under which a bidder retains the slot it was
 assigned (closed threshold: the critical bid itself retains).  VCG charges
 the externality, re-running the allocation with the bidder removed and
-measuring everyone else's change in discounted bids.
+measuring everyone else's change in discounted bids.  :func:`payment` is the
+one implementation of both rules under both allocators; the pricers, the
+engine's single-bidder payoff and the learners' arm sweep all call it.
 """
 from __future__ import annotations
 
@@ -24,11 +26,58 @@ BISECT_WIDTH = 1e-10
 _SLOT_FN: dict[str, Callable] = {"greedy": greedy_slot_vector, "optimal": optimal_slot_vector}
 
 
-def _slot_fn(allocation: str) -> Callable:
+def allocator(allocation: str) -> Callable:
+    """The slot-vector function of an allocation algorithm, by name."""
     try:
         return _SLOT_FN[allocation]
     except KeyError:
         raise AuctionError(f"unknown allocation algorithm {allocation!r}") from None
+
+
+def welfare_of(weights: np.ndarray, slot_of: np.ndarray) -> float:
+    """Winners' total weight, summed over winners only, in bidder-id order."""
+    idx = np.flatnonzero(slot_of > 0)
+    return float(weights[idx, slot_of[idx] - 1].sum())
+
+
+def welfare_without(weights: np.ndarray, i: int, allocation: str) -> float:
+    """Welfare of the allocation that the others get when bidder i is absent."""
+    active = np.ones(weights.shape[0], dtype=bool)
+    active[i] = False
+    return welfare_of(weights, allocator(allocation)(weights, active))
+
+
+def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
+            slot_of: np.ndarray, i: int, allocation: str, pricing: str, *,
+            others_without: float | None = None, critical: float | None = None,
+            grid: np.ndarray | None = None) -> tuple[float, float]:
+    """Winner i's ``(per-conversion price, expected payment)`` under one format.
+
+    ``weights`` and ``slot_of`` describe the profile ``bids`` and its
+    allocation; i must hold a slot.  VCG takes the others' welfare without i
+    precomputed when ``others_without`` is given; GSP under optimal allocation
+    takes a known critical bid as ``critical``, and otherwise bisects it (or
+    scans ``grid``).  A winner whose discount at its slot is zero has
+    per-conversion price 0; the expected payment carries the whole charge.
+    """
+    s = int(slot_of[i])
+    d = instance.delta[i, s - 1]
+    if pricing == "vcg":
+        if others_without is None:
+            others_without = welfare_without(weights, i, allocation)
+        e = others_without - (welfare_of(weights, slot_of) - float(weights[i, s - 1]))
+        if -TOL <= e < 0.0:
+            e = 0.0
+    elif allocation == "greedy":
+        # The best discounted bid at slot s among the bidders greedy had not
+        # yet placed when it filled s (i itself holds s); matching it keeps the slot.
+        unplaced = (slot_of < 0) | (slot_of > s)
+        e = max(float(np.where(unplaced, weights[:, s - 1], -1.0).max()), 0.0)
+    else:
+        if critical is None:
+            critical = _critical_bid_optimal(instance, bids, i, s, grid)
+        return (critical if d > 0 else 0.0), d * critical
+    return (e / d if d > 0 else 0.0), e
 
 
 @dataclass(frozen=True)
@@ -53,25 +102,29 @@ def price_gsp(instance: AuctionInstance, bids, allocation: AllocationName, *,
     winner's own bid, or by an exact scan when ``bid_grid`` restricts bids to
     a discrete grid (pass one grid, or one per bidder).
     """
+    return _price_winners(instance, bids, allocation, "gsp", bid_grid)
+
+
+def price_vcg(instance: AuctionInstance, bids, allocation: AllocationName) -> PriceVector:
+    """Externality payments: others' discounted bids without i, minus with i.
+
+    The expected payment is the quantity VCG defines directly; per-conversion
+    divides by the winner's discount when positive.  Expected payments that
+    come out negative within tolerance are clamped to zero.
+    """
+    return _price_winners(instance, bids, allocation, "vcg", None)
+
+
+def _price_winners(instance: AuctionInstance, bids, allocation: str, pricing: str,
+                   bid_grid) -> PriceVector:
     b = as_bids(instance, bids)
-    if allocation == "greedy":
-        return _gsp_greedy(instance, b)
-    if allocation != "optimal":
-        raise AuctionError(f"unknown allocation algorithm {allocation!r}")
     weights = weight_matrix(instance, b)
-    slot_of = optimal_slot_vector(weights)
-    n = instance.n
-    per_conv = np.zeros(n)
-    expected = np.zeros(n)
-    for i in range(n):
-        s = int(slot_of[i])
-        if s < 0:
-            continue
-        grid = _grid_for(bid_grid, i)
-        crit = _critical_bid_optimal(instance, b, i, s, grid)
-        d = instance.delta[i, s - 1]
-        per_conv[i] = crit if d > 0 else 0.0
-        expected[i] = d * crit
+    slot_of = allocator(allocation)(weights)
+    per_conv = np.zeros(instance.n)
+    expected = np.zeros(instance.n)
+    for i in map(int, np.flatnonzero(slot_of > 0)):
+        per_conv[i], expected[i] = payment(instance, b, weights, slot_of, i, allocation,
+                                           pricing, grid=_grid_for(bid_grid, i))
     return PriceVector(tuple(map(float, per_conv)), tuple(map(float, expected)))
 
 
@@ -81,29 +134,6 @@ def _grid_for(bid_grid, i: int):
     if isinstance(bid_grid, (list, tuple)) and bid_grid and hasattr(bid_grid[0], "__len__"):
         return np.asarray(bid_grid[i], dtype=float)
     return np.asarray(bid_grid, dtype=float)
-
-
-def _gsp_greedy(instance: AuctionInstance, b: np.ndarray) -> PriceVector:
-    weights = weight_matrix(instance, b)
-    n, m = weights.shape
-    per_conv = np.zeros(n)
-    expected = np.zeros(n)
-    remaining = np.ones(n, dtype=bool)
-    for s in range(m):
-        if not remaining.any():
-            break
-        eff = np.where(remaining, weights[:, s], -1.0)
-        winner = int(np.argmax(eff))
-        eff[winner] = -1.0
-        runner_up = float(eff.max()) if n > 1 else -1.0
-        # The winner keeps slot s as long as its discounted bid matches the
-        # best remaining competitor; if the winner's own discount is zero the
-        # competitor field is necessarily all-zero too.
-        expected[winner] = max(runner_up, 0.0)
-        d = instance.delta[winner, s]
-        per_conv[winner] = expected[winner] / d if d > 0 else 0.0
-        remaining[winner] = False
-    return PriceVector(tuple(map(float, per_conv)), tuple(map(float, expected)))
 
 
 def _critical_bid_optimal(instance: AuctionInstance, b: np.ndarray, i: int, slot: int,
@@ -130,48 +160,6 @@ def _critical_bid_optimal(instance: AuctionInstance, b: np.ndarray, i: int, slot
         else:
             lo = mid
     return hi
-
-
-def price_vcg(instance: AuctionInstance, bids, allocation: AllocationName) -> PriceVector:
-    """Externality payments: others' discounted bids without i, minus with i.
-
-    The expected payment is the quantity VCG defines directly; per-conversion
-    divides by the winner's discount when positive.  Expected payments that
-    come out negative within tolerance are clamped to zero.
-    """
-    b = as_bids(instance, bids)
-    slot_fn = _slot_fn(allocation)
-    weights = weight_matrix(instance, b)
-    slot_of = slot_fn(weights)
-    n = instance.n
-    contrib = _contributions(weights, slot_of)
-    total = float(contrib.sum())
-    per_conv = np.zeros(n)
-    expected = np.zeros(n)
-    for i in range(n):
-        s = int(slot_of[i])
-        if s < 0:
-            continue
-        active = np.ones(n, dtype=bool)
-        active[i] = False
-        without = slot_fn(weights, active)
-        others_without = float(_contributions(weights, without).sum())
-        others_with = total - float(contrib[i])
-        e = others_without - others_with
-        if -TOL <= e < 0.0:
-            e = 0.0
-        expected[i] = e
-        d = instance.delta[i, s - 1]
-        per_conv[i] = e / d if d > 0 else 0.0
-    return PriceVector(tuple(map(float, per_conv)), tuple(map(float, expected)))
-
-
-def _contributions(weights: np.ndarray, slot_of: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(slot_of))
-    allocated = slot_of > 0
-    idx = np.flatnonzero(allocated)
-    out[idx] = weights[idx, slot_of[idx] - 1]
-    return out
 
 
 def vcg_greedy_payment_recursion(instance: AuctionInstance, bids) -> np.ndarray:
@@ -223,9 +211,8 @@ def certify_no_overcharge(instance: AuctionInstance, bids,
             prices = price_vcg(instance, b, allocation)
         else:
             raise AuctionError(f"unknown pricing rule {pricing!r}")
-    slot_fn = _slot_fn(allocation)
     weights = weight_matrix(instance, b)
-    slot_of = slot_fn(weights)
+    slot_of = allocator(allocation)(weights)
     for i in range(instance.n):
         s = int(slot_of[i])
         bound = weights[i, s - 1] if s > 0 else 0.0

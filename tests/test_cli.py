@@ -108,3 +108,31 @@ def test_unknown_format_is_an_error(tmp_path):
     rc = main(["--seed", "1", "--out", str(tmp_path / "o"), "auction", "run",
                "--instance", str(inst), "--bids", "0,1", "--format", "FirstPrice"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("row", ["adv0,auc1,abc", "adv0,auc1,-1.5", "adv0,auc1,nan",
+                                 "adv0,auc1,inf", "adv0,auc1"],
+                         ids=["non_numeric", "negative", "nan", "infinite", "missing_field"])
+def test_normalize_rejects_malformed_bid(tmp_path, row):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"advertiser_id,auction_id,bid\nadv0,auc0,1.5\n{row}\n", encoding="utf-8")
+    assert main(["--seed", "1", "--out", str(tmp_path / "o"), "dataset", "normalize",
+                 "--mode", "advertisers", "--input", str(raw)]) == 2
+
+
+def test_learn_rejects_missing_dataset_sidecar(tmp_path):
+    data = tmp_path / "normalized.csv"
+    data.write_text("advertiser_id,auction_id,bid\nadv0,0,0.5\n", encoding="utf-8")
+    cfg = {"formats": ["GreedyGSP"], "d": 4, "M": 1, "S": 1, "N_s": 1, "N_l": 2, "N_t": 1,
+           "delta": [0.9], "seed": 3, "dataset": str(data)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--out", str(tmp_path / "o"), "--config", str(cfg_path), "learn", "exp2"]) == 2
+
+
+def test_learn_rejects_string_count(tmp_path):
+    cfg = {"formats": ["GreedyGSP"], "d": 4, "V": 2, "N_l": "100", "delta": [0.37, 0.85],
+           "seed": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--out", str(tmp_path / "o"), "--config", str(cfg_path), "learn", "exp1"]) == 2

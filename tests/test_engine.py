@@ -62,16 +62,19 @@ class TestRunAuction:
 
 
 class TestCounterfactual:
-    def test_identity_deviation(self):
+    @pytest.mark.parametrize("n, m", [(None, None), (9, 4)], ids=["small", "desk"])
+    def test_identity_deviation(self, n, m):
+        # (9, 4) is the exp2/exp3 desk shape, where numpy sums a length-9
+        # vector out of order: payoffs must match the full run bit for bit
         rng = np.random.default_rng(47)
-        inst = random_instance(rng, max_bidders=5, max_slots=3)
-        bids = conservative_profile(rng, inst)
-        for fmt in Format:
-            out = run_auction(inst, bids, fmt)
-            u = outcome_utilities(inst, out)
-            for i in range(inst.n):
-                assert counterfactual_utility(inst, bids, i, float(bids[i]), fmt) \
-                    == pytest.approx(u[i], abs=1e-9)
+        for _ in range(3):
+            inst = random_instance(rng, max_bidders=5, max_slots=3, n=n, m=m)
+            bids = conservative_profile(rng, inst)
+            for fmt in Format:
+                out = run_auction(inst, bids, fmt)
+                u = outcome_utilities(inst, out)
+                for i in range(inst.n):
+                    assert counterfactual_utility(inst, bids, i, float(bids[i]), fmt) == u[i]
 
     def test_gap_equilibrium_overtaking_loses(self):
         g = greedy_gsp_gap(0.1)

@@ -69,7 +69,7 @@ class TestConfig:
 
 
 class TestArmUtilities:
-    @pytest.mark.parametrize("fmt", list(Format))
+    @pytest.mark.parametrize("fmt", [Format.GREEDY_GSP, Format.GREEDY_VCG, Format.OPT_VCG])
     def test_matches_counterfactuals_continuous(self, fmt):
         rng = np.random.default_rng(17)
         for _ in range(6):
@@ -77,7 +77,7 @@ class TestArmUtilities:
             bids = conservative_profile(rng, inst)
             arms = np.linspace(0.0, 1.0, 7)
             for i in range(inst.n):
-                got = _arm_utilities(inst, bids, i, fmt, arms, grid_pricing=False)
+                got = _arm_utilities(inst, bids, i, fmt, arms)
                 want = [counterfactual_utility(inst, bids, i, float(a), fmt) for a in arms]
                 assert np.allclose(got, want, atol=1e-9)
 
@@ -94,17 +94,25 @@ class TestArmUtilities:
                 out = run_auction(inst, trial, Format.OPT_GSP, gsp_bid_grid=arms)
                 assert got[k] == pytest.approx(outcome_utilities(inst, out)[i], abs=1e-9)
 
-    def test_realized_slot_injection(self):
+    @pytest.mark.parametrize("fmt", list(Format))
+    def test_realized_slot_injection(self, fmt):
+        # nine bidders: numpy sums length-9 vectors out of order, so a pricer
+        # that summed all bidders rather than the winners would disagree here
         rng = np.random.default_rng(23)
-        inst = random_instance(rng, n=3, m=2, min_discount=0.1)
-        bids = conservative_profile(rng, inst)
-        arms = np.array([0.0, float(bids[1]), 1.0])
-        out = run_auction(inst, bids, Format.GREEDY_VCG)
-        u_real = outcome_utilities(inst, out)
-        sv = out.assignment.slot_vector(inst.n)
-        got = _arm_utilities(inst, bids, 1, Format.GREEDY_VCG, arms, realized_arm=1,
-                             realized_slot=int(sv[1]), realized_utility=float(u_real[1]))
-        assert got[1] == pytest.approx(u_real[1], abs=1e-12)
+        arms = np.linspace(0.0, 1.0, 21)
+        for _ in range(4):
+            inst = random_instance(rng, n=9, m=4, min_discount=0.1)
+            picks = rng.integers(arms.size, size=inst.n)
+            bids = arms[picks]
+            out = run_auction(inst, bids, fmt, gsp_bid_grid=arms)
+            u_real = outcome_utilities(inst, out)
+            sv = out.assignment.slot_vector(inst.n)
+            for i in range(inst.n):
+                injected = _arm_utilities(inst, bids, i, fmt, arms, realized_arm=int(picks[i]),
+                                          realized_slot=int(sv[i]),
+                                          realized_utility=float(u_real[i]))
+                recomputed = _arm_utilities(inst, bids, i, fmt, arms)
+                assert injected.tolist() == recomputed.tolist()
 
 
 class TestExperiment1:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posauctions.learning import (AverageEmpiricalDistribution, BidGrid, ExpWeights,
-                                  average_regret, certify_cce, horizon_for_regret,
-                                  learn_until_cce, optimal_learning_rate)
+                                  certify_cce, horizon_for_regret, optimal_learning_rate)
 from posauctions.model import AuctionError
 
 
@@ -130,22 +129,8 @@ class TestCce:
     def test_large_regret_fails(self):
         s = make_learner(eta=0.0)
         s.step([1.0, 0.0, 0.0])  # expected play got 1/3, best arm 1.0
-        assert average_regret(s) == pytest.approx(2 / 3, abs=1e-12)
+        assert s.average_regret() == pytest.approx(2 / 3, abs=1e-12)
         assert not certify_cce([s], 0.1)
-
-    def test_learn_until_cce_retries_then_passes(self):
-        s = make_learner(eta=1.0)
-        calls = []
-
-        def play(k):
-            calls.append(k)
-            for _ in range(k):
-                s.step([1.0, 0.0, 0.0])
-
-        play(1)
-        ok = learn_until_cce([s], play, epsilon=0.05, block=200, max_retries=10)
-        assert ok
-        assert len(calls) >= 2
 
     def test_prescribed_horizon_reaches_target_epsilon(self):
         # running for 4 ln K / eps^2 rounds at the matched rate certifies eps
@@ -159,16 +144,6 @@ class TestCce:
             u[step % 2] = 1.0 - (step % 2)
             s.step(u)
         assert certify_cce([s], eps)
-
-    def test_learn_until_cce_gives_up(self):
-        s = make_learner(eta=0.0)
-
-        def play(k):
-            for _ in range(k):
-                s.step([1.0, 0.0, 0.0])
-
-        play(1)
-        assert not learn_until_cce([s], play, epsilon=0.01, block=10, max_retries=3)
 
 
 class TestHistory:
