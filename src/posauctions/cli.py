@@ -59,7 +59,10 @@ def _finish(out: Path, command: str, seed: int, ok: bool, outputs: list[str],
 
 
 def _cmd_auction_run(args, out: Path, seed: int) -> int:
-    instance = instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
+    try:
+        instance = instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise AuctionError(f"unreadable instance {args.instance}: {exc}") from None
     bids = BidProfile(tuple(float(x) for x in args.bids.split(",")))
     fmt = engine.Format.parse(args.format)
     outcome = engine.run_auction(instance, bids, fmt)

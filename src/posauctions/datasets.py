@@ -49,7 +49,11 @@ class BidDataset:
 
 def read_bid_csv(path) -> list[BidRecord]:
     """Records of a raw or normalized bid CSV; every bid finite and non-negative."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise AuctionError(f"unreadable bid CSV {path}: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != RAW_HEADER:

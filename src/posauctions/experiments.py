@@ -1,9 +1,10 @@
 """Learning-dynamics experiment protocols and their reports.
 
 Three protocols share one engine loop: every round each learner's full grid
-of alternative bids is evaluated against everyone else's realized bids (one
-auction for the realized profile plus ``d`` counterfactuals per bidder,
-``d*M + 1`` evaluations per round, tracked by an explicit counter).
+of bids is evaluated against everyone else's realized bids.  That sweep is the
+only place a round's payoffs are computed; it scores all ``d + 1`` arms, the
+realized one included.  The evaluation counter keeps the logical count of one
+realized auction plus ``d`` counterfactuals per bidder, ``d*M + 1`` per round.
 
 * Experiment 1 plays two populations of fixed-valuation representatives of
   the analytic two-bidder setting and compares mean learned bids against the
@@ -24,9 +25,10 @@ import numpy as np
 
 from . import pricing as _pricing
 from .analytic import TwoByTwoSetting, equilibrium_strategy, simulate_profiles
-from .datasets import BidDataset
-from .engine import Format, outcome_utilities, optimal_true_welfare, run_auction
-from .learning import AverageEmpiricalDistribution, BidGrid, ExpWeights, optimal_learning_rate
+from .datasets import BidDataset, sample_valuations
+from .engine import Format, optimal_true_welfare, run_auction
+from .learning import (AverageEmpiricalDistribution, BidGrid, ExpWeights,
+                       optimal_learning_rate, write_trace_csv)
 from .model import AuctionError, AuctionInstance, Bidder, geometric_curve
 
 SCHEMA_VERSION = 1
@@ -62,6 +64,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise AuctionError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(doc) - known
         if extra:
@@ -77,7 +81,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise AuctionError(f"unreadable config {path}: {exc}") from None
+        return cls.from_dict(doc)
 
     def validate_bayesian(self) -> None:
         if self.dataset is not None:
@@ -225,7 +233,6 @@ def _run_exp1_format(config, setting, vals, fmt, fmt_seed, *,
     rev_sum = wel_sum = opt_sum = 0.0
     observed = 0
     evaluations = 0
-    alt_cache = {k: [np.delete(np.arange(k), a) for a in range(k)] for k in {config.d + 1}}
     for t in range(config.N_l):
         ja = int(rng.integers(reps))
         jb = int(rng.integers(reps))
@@ -239,33 +246,22 @@ def _run_exp1_format(config, setting, vals, fmt, fmt_seed, *,
         va, vb = float(vals[ja]), float(vals[jb])
         bid_a = float(la.grid.points[arm_a])
         bid_b = float(lb.grid.points[arm_b])
-        real = simulate_profiles(setting, fmt, bid_a, bid_b, va, vb)
-        evaluations += 1
-        alt_a = alt_cache[la.arm_count][arm_a]
-        alt_b = alt_cache[lb.arm_count][arm_b]
-        out_a = simulate_profiles(setting, fmt, la.grid.points[alt_a], bid_b, va, vb)
-        out_b = simulate_profiles(setting, fmt, bid_a, lb.grid.points[alt_b], va, vb)
-        evaluations += alt_a.size + alt_b.size
-        ua = np.empty(la.arm_count)
-        ua[alt_a] = out_a.utility_a
-        ua[arm_a] = float(real.utility_a)
-        ub = np.empty(lb.arm_count)
-        ub[alt_b] = out_b.utility_b
-        ub[arm_b] = float(real.utility_b)
-        la.step(_normalize_utilities(ua, va, config.OB))
-        lb.step(_normalize_utilities(ub, vb, config.OB))
+        out_a = simulate_profiles(setting, fmt, la.grid.points, bid_b, va, vb)
+        out_b = simulate_profiles(setting, fmt, bid_a, lb.grid.points, va, vb)
+        # logical count: the realized profile once, plus d counterfactuals each
+        evaluations += la.arm_count + lb.arm_count - 1
+        la.step(_normalize_utilities(out_a.utility_a, va, config.OB))
+        lb.step(_normalize_utilities(out_b.utility_b, vb, config.OB))
         if t >= config.N_e:
             bid_sum[0, ja] += bid_a
             bid_cnt[0, ja] += 1
             bid_sum[1, jb] += bid_b
             bid_cnt[1, jb] += 1
-            rev_sum += float(real.revenue)
-            wel_sum += float(real.welfare)
+            rev_sum += float(out_a.revenue[arm_a])
+            wel_sum += float(out_a.welfare[arm_a])
             opt_sum += max(va + setting.delta_b * vb, vb + setting.delta_a * va)
             observed += 1
     if trace_dir is not None:
-        from pathlib import Path
-        from .learning import write_trace_csv
         flat = [l for pop in learners for l in pop]
         labels = [f"{p}/v={v:g}" for p, pop in zip("ab", learners) for v, _ in zip(vals, pop)]
         write_trace_csv(Path(trace_dir) / f"trace_{fmt.value}.csv", flat, labels)
@@ -306,14 +302,13 @@ def _run_exp1_format(config, setting, vals, fmt, fmt_seed, *,
 # --- dataset experiments -----------------------------------------------------
 
 def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: Format,
-                   arms: np.ndarray, *, realized_arm: int | None = None,
-                   realized_slot: int = -1, realized_utility: float = 0.0) -> np.ndarray:
-    """Bidder i's payoff at every alternative bid, others' bids fixed.
+                   arms: np.ndarray) -> np.ndarray:
+    """Bidder i's payoff at every bid on its grid, others' bids fixed.
 
-    The realized arm's payoff is injected rather than recomputed so a round
-    costs exactly one evaluation per alternative bid.  Under optimal+GSP the
-    price is the grid one: the lowest arm that wins the same slot, read off
-    the sweep's own slot schedule, so ``arms`` must be ascending (a
+    Every arm is scored, the realized one included, so this sweep is the only
+    place a learning round's payoffs come from.  Under optimal+GSP the price
+    is the grid one: the lowest arm that wins the same slot, read off the
+    sweep's own slot schedule, so ``arms`` must be ascending (a
     :class:`BidGrid`).
     """
     delta = instance.delta
@@ -327,10 +322,6 @@ def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: For
     lowest: dict[int, float] = {}  # slot -> lowest arm winning it
     u = np.zeros(arms.size)
     for a in range(arms.size):
-        if a == realized_arm:
-            lowest.setdefault(realized_slot, float(arms[a]))
-            u[a] = realized_utility
-            continue
         trial[i] = arms[a]
         weights[i] = delta[i] * arms[a]
         slot_of = allocate(weights)
@@ -376,7 +367,6 @@ def _run_exp23_format(config, dataset, fmt, fmt_seed, *, trace_dir=None) -> Expe
            if config.eta == "auto" else float(config.eta))
     for draw_seed in draw_seeds:
         rng = np.random.default_rng(draw_seed)
-        from .datasets import sample_valuations
         values = sample_valuations(dataset, config.M, rng)
         instance = AuctionInstance(
             bidders=tuple(Bidder(i, f"t{i}", float(values[i])) for i in range(config.M)),
@@ -395,19 +385,12 @@ def _run_exp23_format(config, dataset, fmt, fmt_seed, *, trace_dir=None) -> Expe
             else:
                 arms = [l.sample_arm(rng) for l in learners]
             bids = np.array([grids[i].points[arms[i]] for i in range(config.M)])
-            outcome = run_auction(instance, bids, fmt, gsp_bid_grid=gsp_grids)
             learn_evals += 1
-            slot_vec = outcome.assignment.slot_vector(config.M)
-            u_real = outcome_utilities(instance, outcome)
             for i in range(config.M):
-                u = _arm_utilities(instance, bids, i, fmt, grids[i].points,
-                                   realized_arm=arms[i], realized_slot=int(slot_vec[i]),
-                                   realized_utility=float(u_real[i]))
+                u = _arm_utilities(instance, bids, i, fmt, grids[i].points)
                 learn_evals += grids[i].points.size - 1
                 learners[i].step(_normalize_utilities(u, float(values[i]), config.OB))
         if trace_dir is not None and not revenues:
-            from pathlib import Path
-            from .learning import write_trace_csv
             write_trace_csv(Path(trace_dir) / f"trace_{fmt.value}.csv", learners,
                             [f"bidder{i}" for i in range(config.M)])
         mixture = AverageEmpiricalDistribution(learners)

@@ -186,12 +186,6 @@ class Assignment:
         slot_of = {i: int(s) for i, s in enumerate(slots) if s > 0}
         return cls(slot_of, {s: i for i, s in slot_of.items()})
 
-    def slot_vector(self, n: int) -> np.ndarray:
-        out = np.full(n, -1, dtype=np.intp)
-        for b, s in self.slot_of.items():
-            out[b] = s
-        return out
-
 
 @dataclass(frozen=True)
 class AuctionOutcome:

@@ -112,6 +112,22 @@ class TestBatchEvaluator:
             assert u[0] == pytest.approx(batch.utility_a[k], abs=1e-8)
             assert u[1] == pytest.approx(batch.utility_b[k], abs=1e-8)
 
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_batch_entries_equal_scalar_calls(self, fmt):
+        # experiment 1 reads the realized profile out of a grid batch, so each
+        # entry must be the scalar evaluation bit for bit, ties and zeros included
+        setting = TwoByTwoSetting(0.37, 0.85)
+        fields = ("utility_a", "utility_b", "revenue", "welfare")
+        for va in (0.0, 0.3, 1.0):
+            for vb in (0.0, 0.3, 1.0):
+                grid = np.linspace(0.0, 2.0 * va, 21)
+                for bid_b in np.linspace(0.0, 2.0 * vb, 21)[[0, 3, 10, 20]]:
+                    batch = simulate_profiles(setting, fmt, grid, bid_b, va, vb)
+                    for k, bid_a in enumerate(grid):
+                        one = simulate_profiles(setting, fmt, bid_a, bid_b, va, vb)
+                        for name in fields:
+                            assert getattr(batch, name)[k] == getattr(one, name), (name, k)
+
 
 class TestMcOracle:
     def test_matches_closed_form(self):

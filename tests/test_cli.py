@@ -136,3 +136,24 @@ def test_learn_rejects_string_count(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["--out", str(tmp_path / "o"), "--config", str(cfg_path), "learn", "exp1"]) == 2
+
+
+@pytest.mark.parametrize("case", ["normalize_missing_csv", "config_missing", "config_bad_json",
+                                  "config_not_object", "instance_missing", "instance_bad_json"])
+def test_unreadable_input_file_exits_2(tmp_path, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    number = tmp_path / "number.json"
+    number.write_text("3", encoding="utf-8")
+    missing = str(tmp_path / "missing.json")
+    run = ["auction", "run", "--bids", "0,1", "--format", "GreedyGSP", "--instance"]
+    argv = {
+        "normalize_missing_csv": ["dataset", "normalize", "--mode", "advertisers",
+                                  "--input", str(tmp_path / "missing.csv")],
+        "config_missing": ["--config", missing, "learn", "exp1"],
+        "config_bad_json": ["--config", str(bad), "learn", "exp1"],
+        "config_not_object": ["--config", str(number), "learn", "exp1"],
+        "instance_missing": run + [missing],
+        "instance_bad_json": run + [str(bad)],
+    }[case]
+    assert main(["--seed", "1", "--out", str(tmp_path / "o")] + argv) == 2

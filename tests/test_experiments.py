@@ -95,24 +95,19 @@ class TestArmUtilities:
                 assert got[k] == pytest.approx(outcome_utilities(inst, out)[i], abs=1e-9)
 
     @pytest.mark.parametrize("fmt", list(Format))
-    def test_realized_slot_injection(self, fmt):
-        # nine bidders: numpy sums length-9 vectors out of order, so a pricer
-        # that summed all bidders rather than the winners would disagree here
+    def test_realized_arm_matches_run_auction(self, fmt):
+        # the sweep is the learners' only payoff source, so its realized arm
+        # must equal the realized auction's payoff bit for bit; nine bidders
+        # because numpy sums length-9 vectors out of order
         rng = np.random.default_rng(23)
         arms = np.linspace(0.0, 1.0, 21)
         for _ in range(4):
             inst = random_instance(rng, n=9, m=4, min_discount=0.1)
             picks = rng.integers(arms.size, size=inst.n)
             bids = arms[picks]
-            out = run_auction(inst, bids, fmt, gsp_bid_grid=arms)
-            u_real = outcome_utilities(inst, out)
-            sv = out.assignment.slot_vector(inst.n)
+            u_real = outcome_utilities(inst, run_auction(inst, bids, fmt, gsp_bid_grid=arms))
             for i in range(inst.n):
-                injected = _arm_utilities(inst, bids, i, fmt, arms, realized_arm=int(picks[i]),
-                                          realized_slot=int(sv[i]),
-                                          realized_utility=float(u_real[i]))
-                recomputed = _arm_utilities(inst, bids, i, fmt, arms)
-                assert injected.tolist() == recomputed.tolist()
+                assert _arm_utilities(inst, bids, i, fmt, arms)[picks[i]] == u_real[i]
 
 
 class TestExperiment1:

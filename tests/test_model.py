@@ -132,7 +132,6 @@ class TestAssignment:
         a = Assignment.from_slot_vector([2, -1, 1])
         assert a.slot_of == {0: 2, 2: 1}
         assert a.bidder_in == {2: 0, 1: 2}
-        assert list(a.slot_vector(3)) == [2, -1, 1]
 
 
 class TestBidProfile:
