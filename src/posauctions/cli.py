@@ -63,7 +63,10 @@ def _cmd_auction_run(args, out: Path, seed: int) -> int:
         instance = instance_from_json(Path(args.instance).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise AuctionError(f"unreadable instance {args.instance}: {exc}") from None
-    bids = BidProfile(tuple(float(x) for x in args.bids.split(",")))
+    try:
+        bids = BidProfile(tuple(float(x) for x in args.bids.split(",")))
+    except ValueError as exc:
+        raise AuctionError(f"--bids must be comma-separated numbers: {exc}") from None
     fmt = engine.Format.parse(args.format)
     outcome = engine.run_auction(instance, bids, fmt)
     doc = {

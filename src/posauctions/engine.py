@@ -56,12 +56,12 @@ def run_auction(instance: AuctionInstance, bids, fmt: Format, *,
     to a discrete grid (used when bids themselves live on a learner grid).
     """
     b = as_bids(instance, bids)
-    slot_of = _pricing.allocator(fmt.allocation)(weight_matrix(instance, b))
     if fmt.pricing == "gsp":
         grid = gsp_bid_grid if fmt.allocation == "optimal" else None
         prices = _pricing.price_gsp(instance, b, fmt.allocation, bid_grid=grid)
     else:
         prices = _pricing.price_vcg(instance, b, fmt.allocation)
+    slot_of = prices.slot_of
     delta = instance.delta
     allocated = slot_of > 0
     idx = np.flatnonzero(allocated)

@@ -306,9 +306,13 @@ def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: For
     """Bidder i's payoff at every bid on its grid, others' bids fixed.
 
     Every arm is scored, the realized one included, so this sweep is the only
-    place a learning round's payoffs come from.  Under optimal+GSP the price
-    is the grid one: the lowest arm that wins the same slot, read off the
-    sweep's own slot schedule, so ``arms`` must be ascending (a
+    place a learning round's payoffs come from.  Greedy allocates each arm;
+    the exact allocator's slots at all arms come from one
+    :func:`~posauctions.pricing.optimal_slot_schedule` (m+1 allocations of the
+    others), whose i-absent allocation also gives VCG the others' welfare
+    without i.  Every payment goes through :func:`~posauctions.pricing.payment`.
+    Under optimal+GSP the price is the grid one: the lowest arm that wins the
+    same slot, read off the schedule, so ``arms`` must be ascending (a
     :class:`BidGrid`).
     """
     delta = instance.delta
@@ -316,15 +320,21 @@ def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: For
     allocation, pricing = fmt.allocation, fmt.pricing
     trial = bids.copy()
     weights = delta * trial[:, None]
-    allocate = _pricing.allocator(allocation)
-    others_without = (_pricing.welfare_without(weights, i, allocation)
-                      if pricing == "vcg" else None)
+    optimal = allocation == "optimal"
+    if optimal:
+        schedule, without = _pricing.optimal_slot_schedule(delta, bids, i, arms)
+    else:
+        allocate = _pricing.allocator(allocation)
+    others_without = None
+    if pricing == "vcg":
+        others_without = (_pricing.welfare_of(weights, without) if optimal
+                          else _pricing.welfare_without(weights, i, allocation))
     lowest: dict[int, float] = {}  # slot -> lowest arm winning it
     u = np.zeros(arms.size)
     for a in range(arms.size):
         trial[i] = arms[a]
         weights[i] = delta[i] * arms[a]
-        slot_of = allocate(weights)
+        slot_of = schedule[a] if optimal else allocate(weights)
         s = int(slot_of[i])
         lowest.setdefault(s, float(arms[a]))
         if s > 0:

@@ -245,13 +245,21 @@ def instance_to_dict(instance: AuctionInstance) -> dict:
     }
 
 
+def _integer(x) -> int:
+    if int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def instance_from_dict(doc: Mapping) -> AuctionInstance:
     try:
         curves = {name: DiscountCurve(tuple(ds)) for name, ds in doc["curves"].items()}
-        bidders = tuple(Bidder(int(b["id"]), str(b["type"]), float(b["value"]))
+        bidders = tuple(Bidder(_integer(b["id"]), str(b["type"]), float(b["value"]))
                         for b in doc["bidders"])
-        return AuctionInstance(bidders, curves, int(doc["slots"]))
-    except (KeyError, TypeError) as exc:
+        return AuctionInstance(bidders, curves, _integer(doc["slots"]))
+    except AuctionError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise AuctionError(f"malformed instance document: {exc}") from exc
 
 

@@ -6,10 +6,12 @@ the externality, re-running the allocation with the bidder removed and
 measuring everyone else's change in discounted bids.  :func:`payment` is the
 one implementation of both rules under both allocators; the pricers, the
 engine's single-bidder payoff and the learners' arm sweep all call it.
+:func:`optimal_slot_schedule` gives one bidder's exact allocation at every
+bid of a grid from m+1 allocations of the others.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
@@ -47,6 +49,56 @@ def welfare_without(weights: np.ndarray, i: int, allocation: str) -> float:
     return welfare_of(weights, allocator(allocation)(weights, active))
 
 
+def optimal_slot_schedule(delta: np.ndarray, bids: np.ndarray, i: int,
+                          arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-allocation slot vectors with bidder i bidding each of ``arms``.
+
+    Returns ``(schedule, without)``: row a of ``schedule`` is the slot
+    vector of the profile with ``bids[i]`` replaced by ``arms[a]``, and
+    ``without`` is the others' allocation with i absent; ``bids[i]`` itself
+    is ignored.  The others enter i's choice only through m+1 numbers: their
+    best welfare H_t on the slots left when i holds slot t, and H without i.
+    So i's slot at x is the best of the lines ``delta[i, t]*x + H_t`` (plus
+    the flat line H when n > m, the only case in which i can lose), and the
+    others take their allocation for that option.  An arm whose two best
+    lines lie within 1e-9 relative is allocated in full instead, so the
+    enumeration's tie rule decides every near-tie of i's slot.  i's slot
+    always equals ``optimal_slot_vector``'s; the others' slots do too unless
+    decimal ties among them round differently with i's weight added, when
+    they are another of their optima.
+    """
+    n, m = delta.shape
+    weights = delta * bids[:, None]
+    others = np.ones(n, dtype=bool)
+    others[i] = False
+    without = optimal_slot_vector(weights, others)
+    vectors = np.empty((m + 1, n), dtype=np.intp)
+    heights = np.empty(m + 1)
+    for t in range(m):
+        cols = np.delete(np.arange(m), t)
+        sub = optimal_slot_vector(weights[:, cols], others)
+        won = sub > 0
+        vectors[t] = -1
+        vectors[t, won] = cols[sub[won] - 1] + 1
+        vectors[t, i] = t + 1
+        heights[t] = welfare_of(weights[:, cols], sub)
+    vectors[m] = without
+    heights[m] = welfare_of(weights, without)
+    options = m + 1 if n > m else m
+    lines = np.empty((arms.size, options))
+    lines[:, :m] = arms[:, None] * delta[i] + heights[:m]
+    lines[:, m:] = heights[m]
+    schedule = vectors[np.argmax(lines, axis=1)]
+    if options > 1:
+        top = np.sort(lines, axis=1)
+        best = top[:, -1]
+        near = np.flatnonzero(best - top[:, -2] <= 1e-9 * np.maximum(1.0, np.abs(best)))
+        for a in near:
+            weights[i] = delta[i] * arms[a]
+            schedule[a] = optimal_slot_vector(weights)
+    return schedule, without
+
+
 def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
             slot_of: np.ndarray, i: int, allocation: str, pricing: str, *,
             others_without: float | None = None, critical: float | None = None,
@@ -56,8 +108,9 @@ def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
     ``weights`` and ``slot_of`` describe the profile ``bids`` and its
     allocation; i must hold a slot.  VCG takes the others' welfare without i
     precomputed when ``others_without`` is given; GSP under optimal allocation
-    takes a known critical bid as ``critical``, and otherwise bisects it (or
-    scans ``grid``).  A winner whose discount at its slot is zero has
+    takes a known critical bid as ``critical``; otherwise it bisects it, or,
+    given ``grid``, takes the lowest grid bid that :func:`optimal_slot_schedule`
+    places in the same slot.  A winner whose discount at its slot is zero has
     per-conversion price 0; the expected payment carries the whole charge.
     """
     s = int(slot_of[i])
@@ -90,6 +143,8 @@ class PriceVector:
 
     per_conversion: tuple[float, ...]
     expected: tuple[float, ...]
+    #: the allocation priced (set by :func:`price_gsp`/:func:`price_vcg`)
+    slot_of: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def price_gsp(instance: AuctionInstance, bids, allocation: AllocationName, *,
@@ -99,8 +154,9 @@ def price_gsp(instance: AuctionInstance, bids, allocation: AllocationName, *,
     Under greedy allocation the critical bid has a closed form: the best
     discounted bid among bidders still unallocated when the winner's slot was
     filled.  Under optimal allocation it is found by bisection on the
-    winner's own bid, or by an exact scan when ``bid_grid`` restricts bids to
-    a discrete grid (pass one grid, or one per bidder).
+    winner's own bid, or read off the winner's slot schedule over the grid
+    when ``bid_grid`` restricts bids to a discrete grid (pass one grid, or
+    one per bidder).
     """
     return _price_winners(instance, bids, allocation, "gsp", bid_grid)
 
@@ -125,7 +181,7 @@ def _price_winners(instance: AuctionInstance, bids, allocation: str, pricing: st
     for i in map(int, np.flatnonzero(slot_of > 0)):
         per_conv[i], expected[i] = payment(instance, b, weights, slot_of, i, allocation,
                                            pricing, grid=_grid_for(bid_grid, i))
-    return PriceVector(tuple(map(float, per_conv)), tuple(map(float, expected)))
+    return PriceVector(tuple(map(float, per_conv)), tuple(map(float, expected)), slot_of)
 
 
 def _grid_for(bid_grid, i: int):
@@ -139,17 +195,18 @@ def _grid_for(bid_grid, i: int):
 def _critical_bid_optimal(instance: AuctionInstance, b: np.ndarray, i: int, slot: int,
                           grid: np.ndarray | None) -> float:
     delta = instance.delta
+    if grid is not None:
+        grid = np.sort(grid)
+        schedule, _ = optimal_slot_schedule(delta, b, i, grid)
+        kept = np.flatnonzero(schedule[:, i] == slot)
+        # the realized bid always keeps its own slot
+        return float(grid[kept[0]]) if kept.size else float(b[i])
 
     def keeps(x: float) -> bool:
         trial = b.copy()
         trial[i] = x
         return int(optimal_slot_vector(delta * trial[:, None])[i]) == slot
 
-    if grid is not None:
-        for g in np.sort(grid):
-            if keeps(float(g)):
-                return float(g)
-        return float(b[i])  # the realized bid always keeps its own slot
     if keeps(0.0):
         return 0.0
     lo, hi = 0.0, float(b[i])

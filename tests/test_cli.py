@@ -157,3 +157,22 @@ def test_unreadable_input_file_exits_2(tmp_path, case):
         "instance_bad_json": run + [str(bad)],
     }[case]
     assert main(["--seed", "1", "--out", str(tmp_path / "o")] + argv) == 2
+
+
+@pytest.mark.parametrize("case", ["bids_non_numeric", "value_non_numeric", "id_non_integer",
+                                  "slots_non_integer"])
+def test_non_numeric_input_exits_2(tmp_path, case):
+    doc = json.loads(instance_to_json(greedy_gsp_gap(0.1).instance))
+    bids = "0,1"
+    if case == "bids_non_numeric":
+        bids = "a,b"
+    elif case == "value_non_numeric":
+        doc["bidders"][0]["value"] = "abc"
+    elif case == "id_non_integer":
+        doc["bidders"][0]["id"] = 0.5
+    else:
+        doc["slots"] = "two"
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["--seed", "1", "--out", str(tmp_path / "o"), "auction", "run",
+                 "--instance", str(inst), "--bids", bids, "--format", "GreedyGSP"]) == 2

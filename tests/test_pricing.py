@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from posauctions.analytic import TwoByTwoSetting
-from posauctions.allocation import allocate_greedy, allocate_optimal
+from posauctions import pricing
+from posauctions.allocation import allocate_greedy, allocate_optimal, optimal_slot_vector
 from posauctions.engine import (Format, conservative_profile, counterfactual_utility,
                                 random_instance, run_auction, utility_of)
 from posauctions.fixtures import greedy_vcg_gap
 from posauctions.model import AuctionInstance, Bidder, DiscountCurve
-from posauctions.pricing import (certify_no_overcharge, price_gsp, price_vcg,
-                                 vcg_greedy_payment_recursion)
+from posauctions.pricing import (certify_no_overcharge, optimal_slot_schedule, price_gsp,
+                                 price_vcg, vcg_greedy_payment_recursion)
 
 
 def symmetric_two_slot(delta=1.0):
@@ -185,3 +186,85 @@ def test_revenue_equals_sum_of_expected_payments():
         for i in range(inst.n):
             if i not in out.assignment.slot_of:
                 assert out.expected_payment[i] == 0.0
+
+
+def schedule_cases(seed, count, tenths):
+    """Instances, profiles and ascending grids for the schedule tests: n <= m,
+    m = 1 and n = 1 included, every fifth bidder-0 a zero-value bidder on an
+    all-zero grid, and overbidding grids up to twice the value otherwise."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 1 if k % 7 == 0 else int(rng.integers(1, 8))
+        m = 1 if k % 5 == 0 else int(rng.integers(1, 5))
+        inst = random_instance(rng, n=n, m=m)
+        if tenths:
+            curves = {t: DiscountCurve(tuple(np.sort(rng.integers(0, 11, m))[::-1] / 10))
+                      for t in inst.curves}
+            values = rng.integers(0, 11, n) / 10
+        else:
+            curves, values = inst.curves, inst.values.copy()
+        if k % 5 == 0:
+            values[0] = 0.0
+        bidders = tuple(Bidder(b.id, b.ad_type, float(values[b.id])) for b in inst.bidders)
+        inst = AuctionInstance(bidders, curves, m)
+        cap = inst.values * (1.0 + (k % 2))  # truthful caps, or overbidding to 2x
+        bids = (rng.integers(0, 11, n) / 10 if tenths else rng.uniform(0.0, 1.0, n)) * cap
+        for i in range(n):
+            yield inst, bids, i, np.linspace(0.0, cap[i], 11 if tenths else 9)
+
+
+def full_vector(inst, bids, i, x):
+    trial = bids.copy()
+    trial[i] = x
+    return optimal_slot_vector(inst.delta * trial[:, None])
+
+
+class TestOptimalSlotSchedule:
+    @pytest.mark.parametrize("tenths", [False, True], ids=["continuous", "tenths"])
+    def test_matches_allocator_at_every_arm(self, tenths):
+        for inst, bids, i, arms in schedule_cases(31 + tenths, 150, tenths):
+            schedule, without = optimal_slot_schedule(inst.delta, bids, i, arms)
+            others = np.arange(inst.n) != i
+            assert np.array_equal(without, optimal_slot_vector(inst.delta * bids[:, None],
+                                                               others))
+            for a, x in enumerate(arms):
+                full = full_vector(inst, bids, i, x)
+                assert schedule[a, i] == full[i]
+                if not tenths:
+                    # decimal ties among the others may break either way
+                    assert np.array_equal(schedule[a], full)
+
+    def test_exact_line_tie_is_allocated_in_full(self, monkeypatch):
+        # premium ratio 2/3 against a 0.6 bid: at 0.4 the top and bottom slots
+        # weigh the same for bidder 0, so only the enumeration may decide
+        inst = TwoByTwoSetting(0.5, 2.0 / 3.0).instance(1.0, 1.0)
+        bids = np.array([0.6, 0.6])
+        arms = np.array([0.2, 0.4, 0.8])
+        calls = []
+        real = pricing.optimal_slot_vector
+
+        def counting(weights, active=None):
+            calls.append(active is None)
+            return real(weights, active)
+
+        monkeypatch.setattr(pricing, "optimal_slot_vector", counting)
+        schedule, _ = optimal_slot_schedule(inst.delta, bids, 0, arms)
+        assert calls.count(False) == inst.slot_count + 1
+        assert calls.count(True) == 1  # the tied arm alone
+        for a, x in enumerate(arms):
+            assert np.array_equal(schedule[a], full_vector(inst, bids, 0, x))
+
+    @pytest.mark.parametrize("tenths", [False, True], ids=["continuous", "tenths"])
+    def test_grid_critical_bid_matches_scan(self, tenths):
+        def scan(inst, bids, i, slot, grid):
+            for g in np.sort(grid):
+                if full_vector(inst, bids, i, g)[i] == slot:
+                    return float(g)
+            return float(bids[i])
+
+        for inst, bids, i, arms in schedule_cases(41 + tenths, 80, tenths):
+            slot = int(optimal_slot_vector(inst.delta * bids[:, None])[i])
+            if slot > 0:
+                grid = arms[::-1]  # any order; the scan sorts
+                assert (pricing._critical_bid_optimal(inst, bids, i, slot, grid)
+                        == scan(inst, bids, i, slot, grid))
