@@ -3,10 +3,12 @@
 
 Runs, through the CLI and into one scratch directory: dataset synth and
 normalize (both modes), ``learn exp1`` at N_l=2000, ``learn exp2``/``exp3``
-at N_s=2 (otherwise the desk configs), ``poa --resolution 2000`` and
-``equilibrium --samples 100000``.  Prints one ``sha256  relative/path`` line
-per output file, sorted by path.  Run it against two checkouts of the package
-and diff the output to show that a change keeps seeded outputs byte-identical:
+at N_s=2 (otherwise the desk configs), ``poa --resolution 2000``,
+``equilibrium --samples 100000`` and ``auction run`` in all four formats on
+one fixed instance (the CLI's direct path to the continuous exact-GSP
+price).  Prints one ``sha256  relative/path`` line per output file, sorted by
+path.  Run it against two checkouts of the package and diff the output to
+show that a change keeps seeded outputs byte-identical:
 
     PYTHONPATH=src python scripts/output_digest.py > digest.txt
     PYTHONPATH=other/src python scripts/output_digest.py > other.txt
@@ -25,6 +27,17 @@ from pathlib import Path
 from posauctions.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+#: Five bidders of three types on three slots, for ``auction run``.
+INSTANCE = {
+    "slots": 3,
+    "curves": {"a": [1.0, 0.7, 0.4], "b": [0.9, 0.8, 0.3], "c": [0.6, 0.5, 0.45]},
+    "bidders": [{"id": 0, "type": "a", "value": 0.9}, {"id": 1, "type": "b", "value": 0.8},
+                {"id": 2, "type": "c", "value": 1.0}, {"id": 3, "type": "a", "value": 0.5},
+                {"id": 4, "type": "b", "value": 0.7}],
+}
+INSTANCE_BIDS = "0.8,0.75,0.9,0.45,0.6"
+FORMATS = ("GreedyGSP", "GreedyVCG", "OptGSP", "OptVCG")
 
 
 def _config(name: str, **overrides) -> str:
@@ -64,6 +77,11 @@ def run_all(root: Path) -> int:
             ["--seed", "0", "--out", "poa", "poa", "--resolution", "2000"],
             ["--seed", "7", "--out", "equilibrium", "equilibrium", "--samples", "100000"],
         ]
+        instance = Path("configs") / "instance.json"
+        instance.write_text(json.dumps(INSTANCE), encoding="utf-8")
+        runs += [["--seed", "0", "--out", f"auction/{fmt}", "auction", "run",
+                  "--instance", str(instance), "--bids", INSTANCE_BIDS, "--format", fmt]
+                 for fmt in FORMATS]
         rc = 0
         with contextlib.redirect_stdout(sys.stderr):
             for argv in runs:

@@ -308,7 +308,7 @@ def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: For
     Every arm is scored, the realized one included, so this sweep is the only
     place a learning round's payoffs come from.  Greedy allocates each arm;
     the exact allocator's slots at all arms come from one
-    :func:`~posauctions.pricing.optimal_slot_schedule` (m+1 allocations of the
+    :func:`~posauctions.pricing.optimal_slot_schedule` (one DP over the
     others), whose i-absent allocation also gives VCG the others' welfare
     without i.  Every payment goes through :func:`~posauctions.pricing.payment`.
     Under optimal+GSP the price is the grid one: the lowest arm that wins the

@@ -6,8 +6,10 @@ the externality, re-running the allocation with the bidder removed and
 measuring everyone else's change in discounted bids.  :func:`payment` is the
 one implementation of both rules under both allocators; the pricers, the
 engine's single-bidder payoff and the learners' arm sweep all call it.
-:func:`optimal_slot_schedule` gives one bidder's exact allocation at every
-bid of a grid from m+1 allocations of the others.
+Under exact allocation one DP over the others gives a bidder's allocation
+at every bid (:func:`optimal_slot_schedule`) and its exact-GSP critical bid,
+both from the upper envelope of one line per slot it could hold, read with
+the allocator's own tie rule (:mod:`.allocation`).
 """
 from __future__ import annotations
 
@@ -16,14 +18,11 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .allocation import greedy_slot_vector, optimal_slot_vector, weight_matrix
+from .allocation import (SlotTable, greedy_slot_vector, optimal_slot_vector, tie_margin,
+                         tie_point, weight_matrix)
 from .model import AuctionError, AuctionInstance, TOL, as_bids
 
 AllocationName = Literal["greedy", "optimal"]
-
-#: Bracket width for the bisection that finds critical bids under the
-#: optimal allocator (well inside the 1e-9 contract).
-BISECT_WIDTH = 1e-10
 
 _SLOT_FN: dict[str, Callable] = {"greedy": greedy_slot_vector, "optimal": optimal_slot_vector}
 
@@ -49,6 +48,22 @@ def welfare_without(weights: np.ndarray, i: int, allocation: str) -> float:
     return welfare_of(weights, allocator(allocation)(weights, active))
 
 
+def _options(delta: np.ndarray, bids: np.ndarray,
+             i: int) -> tuple[SlotTable, list[int], np.ndarray, np.ndarray]:
+    """Bidder i's options as lines in its bid: the others' DP, the free-slot
+    mask each option leaves (slot t+1 for t < m; none for t = m), and, per
+    option i can take, the slope ``delta[i, t]`` (0 for none, an option only
+    when n > m) and the others' best weight H_t on that mask.  Only slots
+    1..min(n, m) are options (see :func:`optimal_slot_vector`)."""
+    n = delta.shape[0]
+    m = min(n, delta.shape[1])
+    table = SlotTable(delta[:, :m] * bids[:, None], np.arange(n) != i)
+    full = (1 << m) - 1
+    masks = [full ^ (1 << t) for t in range(m)] + [full]
+    slopes = np.append(delta[i, :m], 0.0)[:m + 1 if n > m else m]
+    return table, masks, slopes, table.best[0, masks[:slopes.size]]
+
+
 def optimal_slot_schedule(delta: np.ndarray, bids: np.ndarray, i: int,
                           arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact-allocation slot vectors with bidder i bidding each of ``arms``.
@@ -56,47 +71,28 @@ def optimal_slot_schedule(delta: np.ndarray, bids: np.ndarray, i: int,
     Returns ``(schedule, without)``: row a of ``schedule`` is the slot
     vector of the profile with ``bids[i]`` replaced by ``arms[a]``, and
     ``without`` is the others' allocation with i absent; ``bids[i]`` itself
-    is ignored.  The others enter i's choice only through m+1 numbers: their
-    best welfare H_t on the slots left when i holds slot t, and H without i.
-    So i's slot at x is the best of the lines ``delta[i, t]*x + H_t`` (plus
-    the flat line H when n > m, the only case in which i can lose), and the
-    others take their allocation for that option.  An arm whose two best
-    lines lie within 1e-9 relative is allocated in full instead, so the
-    enumeration's tie rule decides every near-tie of i's slot.  i's slot
-    always equals ``optimal_slot_vector``'s; the others' slots do too unless
-    decimal ties among them round differently with i's weight added, when
-    they are another of their optima.
+    is ignored.  At each arm i takes the top line of :func:`_options` and the
+    others the DP's allocation of the slots left.  An arm whose two best
+    lines lie within twice the allocator's :func:`tie_margin` is allocated in
+    full instead, so :func:`optimal_slot_vector` decides every near-tie of
+    i's slot.
     """
-    n, m = delta.shape
-    weights = delta * bids[:, None]
-    others = np.ones(n, dtype=bool)
-    others[i] = False
-    without = optimal_slot_vector(weights, others)
-    vectors = np.empty((m + 1, n), dtype=np.intp)
-    heights = np.empty(m + 1)
-    for t in range(m):
-        cols = np.delete(np.arange(m), t)
-        sub = optimal_slot_vector(weights[:, cols], others)
-        won = sub > 0
-        vectors[t] = -1
-        vectors[t, won] = cols[sub[won] - 1] + 1
-        vectors[t, i] = t + 1
-        heights[t] = welfare_of(weights[:, cols], sub)
-    vectors[m] = without
-    heights[m] = welfare_of(weights, without)
-    options = m + 1 if n > m else m
-    lines = np.empty((arms.size, options))
-    lines[:, :m] = arms[:, None] * delta[i] + heights[:m]
-    lines[:, m:] = heights[m]
+    table, masks, slopes, heights = _options(delta, bids, i)
+    # the last row, i taking no slot, is also the others' allocation without i
+    vectors = np.array([table.vector(mask) for mask in masks])
+    vectors[np.arange(len(masks) - 1), i] = np.arange(1, len(masks))
+    lines = arms[:, None] * slopes + heights
     schedule = vectors[np.argmax(lines, axis=1)]
-    if options > 1:
+    if slopes.size > 1:
         top = np.sort(lines, axis=1)
-        best = top[:, -1]
-        near = np.flatnonzero(best - top[:, -2] <= 1e-9 * np.maximum(1.0, np.abs(best)))
+        # twice the margin: the allocator sums the same weights in another order
+        near = [a for a, (second, best) in enumerate(top[:, -2:].tolist())
+                if best - second <= 2.0 * tie_margin(best)]
+        weights = delta * bids[:, None]
         for a in near:
             weights[i] = delta[i] * arms[a]
             schedule[a] = optimal_slot_vector(weights)
-    return schedule, without
+    return schedule, vectors[-1]
 
 
 def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
@@ -108,10 +104,12 @@ def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
     ``weights`` and ``slot_of`` describe the profile ``bids`` and its
     allocation; i must hold a slot.  VCG takes the others' welfare without i
     precomputed when ``others_without`` is given; GSP under optimal allocation
-    takes a known critical bid as ``critical``; otherwise it bisects it, or,
-    given ``grid``, takes the lowest grid bid that :func:`optimal_slot_schedule`
-    places in the same slot.  A winner whose discount at its slot is zero has
-    per-conversion price 0; the expected payment carries the whole charge.
+    takes a known critical bid as ``critical``; otherwise it takes the lowest
+    bid at which the allocator's tie rule puts i's slot on top of the upper
+    envelope of its option lines (:func:`_options`), or, given ``grid``, the
+    lowest grid bid that :func:`optimal_slot_schedule` places in the same
+    slot.  A winner whose discount at its slot is zero has per-conversion
+    price 0; the expected payment carries the whole charge.
     """
     s = int(slot_of[i])
     d = instance.delta[i, s - 1]
@@ -153,10 +151,10 @@ def price_gsp(instance: AuctionInstance, bids, allocation: AllocationName, *,
 
     Under greedy allocation the critical bid has a closed form: the best
     discounted bid among bidders still unallocated when the winner's slot was
-    filled.  Under optimal allocation it is found by bisection on the
-    winner's own bid, or read off the winner's slot schedule over the grid
-    when ``bid_grid`` restricts bids to a discrete grid (pass one grid, or
-    one per bidder).
+    filled.  Under optimal allocation it is where the winner's slot starts on
+    the envelope of its options' lines in its own bid, or it is read off the
+    winner's slot schedule over the grid when ``bid_grid`` restricts bids to
+    a discrete grid (pass one grid, or one per bidder).
     """
     return _price_winners(instance, bids, allocation, "gsp", bid_grid)
 
@@ -201,22 +199,37 @@ def _critical_bid_optimal(instance: AuctionInstance, b: np.ndarray, i: int, slot
         kept = np.flatnonzero(schedule[:, i] == slot)
         # the realized bid always keeps its own slot
         return float(grid[kept[0]]) if kept.size else float(b[i])
-
-    def keeps(x: float) -> bool:
-        trial = b.copy()
-        trial[i] = x
-        return int(optimal_slot_vector(delta * trial[:, None])[i]) == slot
-
-    if keeps(0.0):
+    table, masks, slopes, heights = _options(delta, b, i)
+    s = slot - 1
+    flatter = np.flatnonzero(slopes < slopes[s])
+    if not flatter.size:
         return 0.0
-    lo, hi = 0.0, float(b[i])
-    while hi - lo > BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if keeps(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+    def ahead(t: int) -> list[int]:
+        """The slots of the bidders before i when i takes option t (none last)."""
+        head = table.vector(masks[t])[:i]
+        return np.where(head > 0, head, len(masks)).tolist()
+
+    # Slot s's interval starts where its line comes within the allocator's tie
+    # margin of every flatter line.  A tied option wins instead if its slot
+    # vector sorts first, which (as it puts i lower) only the bidders before i
+    # can make it do; it then keeps i out until its line leaves the margin.
+    line, own, price = (slopes[s], heights[s]), ahead(s), 0.0
+    for t in flatter:
+        other = (slopes[t], heights[t])
+        price = max(price, tie_point(line, other))
+        if ahead(t) < own:
+            price = max(price, tie_point(other, line))
+    price = min(price, float(b[i]))
+    trial = b.copy()
+    trial[i] = price
+    if price < b[i] and optimal_slot_vector(delta * trial[:, None])[i] != slot:
+        # the allocator sums in another order than these lines, off by a few
+        # ulps of the top weight: step past that
+        gap = slopes[s] - slopes[flatter].max()
+        price = min(price + 1e-3 * tie_margin(slopes[s] * price + heights[s]) / gap,
+                    float(b[i]))
+    return float(price)
 
 
 def vcg_greedy_payment_recursion(instance: AuctionInstance, bids) -> np.ndarray:

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posauctions.allocation import (allocate_bruteforce, allocate_greedy, allocate_optimal,
-                                    greedy_slot_vector, weight_matrix)
+                                    greedy_slot_vector, optimal_slot_vector, weight_matrix)
 from posauctions.engine import conservative_profile, random_instance
 from posauctions.fixtures import greedy_gsp_gap, greedy_vcg_gap
 from posauctions.model import (AuctionError, AuctionInstance, Bidder, DiscountCurve, welfare)
@@ -107,6 +109,63 @@ class TestOptimal:
         a = allocate_optimal(inst, [1.0])
         assert a.slot_of == {0: 1}
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_bidders_on_many_slots(self, n):
+        # k bidders only ever take slots 1..k, so 16 slots cost no more than k
+        rng = np.random.default_rng(n)
+        curves = {t: DiscountCurve(tuple(np.sort(rng.uniform(0.0, 1.0, 16))[::-1]))
+                  for t in "ab"}
+        for _ in range(20):
+            inst = AuctionInstance(tuple(Bidder(i, "ab"[i % 2], 1.0) for i in range(n)),
+                                   curves, 16)
+            bids = rng.uniform(0.0, 1.0, n)
+            assert allocate_optimal(inst, bids).slot_of == allocate_bruteforce(inst, bids).slot_of
+
+    def test_lexmin_ties_match_exact_arithmetic(self):
+        # tenths-grid discounts and bids tie often in exact arithmetic while
+        # their float sums differ in the last bits
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            delta = np.sort(rng.integers(0, 11, (n, m)), axis=1)[:, ::-1]
+            bids = rng.integers(0, 11, n)
+            got = optimal_slot_vector(delta / 10 * (bids / 10)[:, None])
+            assert got.tolist() == lexmin_optimum(delta.tolist(), bids.tolist())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_paper_scale_weight_matches_assignment_solver(self, seed):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n=20, m=6)
+        weights = weight_matrix(inst, conservative_profile(rng, inst))
+        slot_of = optimal_slot_vector(weights)
+        won = np.flatnonzero(slot_of > 0)
+        rows, cols = linear_sum_assignment(weights, maximize=True)
+        assert np.sort(slot_of[won]).tolist() == list(range(1, 7))
+        assert weights[won, slot_of[won] - 1].sum() == pytest.approx(
+            weights[rows, cols].sum(), abs=1e-12)
+
+
+def lexmin_optimum(delta_tenths, bids_tenths):
+    """Slot vector (-1 if none) of the lexicographically smallest max-weight
+    matching, unallocated sorting last, in exact rational arithmetic."""
+    n, m = len(delta_tenths), len(delta_tenths[0])
+    best = [None, None]
+
+    def extend(j, free, vector, weight):
+        if j == n:  # depth-first in slot order visits vectors in lexicographic order
+            if best[0] is None or weight > best[0]:
+                best[:] = weight, vector
+            return
+        for s in range(m):
+            if free & (1 << s):
+                gain = Fraction(delta_tenths[j][s] * bids_tenths[j], 100)
+                extend(j + 1, free ^ (1 << s), vector + [s + 1], weight + gain)
+        extend(j + 1, free, vector + [-1], weight)
+
+    extend(0, (1 << m) - 1, [], Fraction(0))
+    return best[1]
+
 
 class TestBruteforce:
     def test_single(self):
@@ -120,6 +179,19 @@ class TestBruteforce:
         e = 0.1
         assert welfare(t.instance, a, t.instance.values) == pytest.approx(
             3 - 2 * e - 2 * e * e, abs=1e-12)
+
+    def test_decimal_ties_match_exact_arithmetic(self):
+        # the oracle shares the exact allocator's tie rule, not its code
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            delta = np.sort(rng.integers(0, 11, (n, m)), axis=1)[:, ::-1]
+            bids = rng.integers(0, 11, n)
+            curves = {str(i): DiscountCurve(tuple(delta[i] / 10)) for i in range(n)}
+            inst = AuctionInstance(tuple(Bidder(i, str(i), 1.0) for i in range(n)), curves, m)
+            brute = allocate_bruteforce(inst, bids / 10)
+            expected = lexmin_optimum(delta.tolist(), bids.tolist())
+            assert [brute.slot_of.get(i, -1) for i in range(n)] == expected
 
     def test_size_guard(self):
         inst = AuctionInstance(

@@ -5,7 +5,7 @@ import pytest
 
 from posauctions.cli import main
 from posauctions.fixtures import greedy_gsp_gap
-from posauctions.model import instance_to_json
+from posauctions.model import AuctionInstance, Bidder, DiscountCurve, instance_to_json
 
 
 def read_all_bytes(directory: Path) -> dict:
@@ -176,3 +176,14 @@ def test_non_numeric_input_exits_2(tmp_path, case):
     inst.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["--seed", "1", "--out", str(tmp_path / "o"), "auction", "run",
                  "--instance", str(inst), "--bids", bids, "--format", "GreedyGSP"]) == 2
+
+
+def test_instance_over_exact_table_guard_exits_2(tmp_path):
+    # 17 bidders on 17 slots need 18 * 2**17 cells, over the exact allocator's guard
+    curve = {"a": DiscountCurve(tuple(1.0 - s / 20 for s in range(17)))}
+    instance = AuctionInstance(tuple(Bidder(i, "a", 1.0) for i in range(17)), curve, 17)
+    inst = tmp_path / "instance.json"
+    inst.write_text(instance_to_json(instance), encoding="utf-8")
+    bids = ",".join(str(0.05 * (i + 1)) for i in range(17))
+    assert main(["--seed", "1", "--out", str(tmp_path / "o"), "auction", "run",
+                 "--instance", str(inst), "--bids", bids, "--format", "OptGSP"]) == 2

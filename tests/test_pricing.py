@@ -228,15 +228,11 @@ class TestOptimalSlotSchedule:
             assert np.array_equal(without, optimal_slot_vector(inst.delta * bids[:, None],
                                                                others))
             for a, x in enumerate(arms):
-                full = full_vector(inst, bids, i, x)
-                assert schedule[a, i] == full[i]
-                if not tenths:
-                    # decimal ties among the others may break either way
-                    assert np.array_equal(schedule[a], full)
+                assert np.array_equal(schedule[a], full_vector(inst, bids, i, x))
 
     def test_exact_line_tie_is_allocated_in_full(self, monkeypatch):
         # premium ratio 2/3 against a 0.6 bid: at 0.4 the top and bottom slots
-        # weigh the same for bidder 0, so only the enumeration may decide
+        # weigh the same for bidder 0, so only the full allocator may decide
         inst = TwoByTwoSetting(0.5, 2.0 / 3.0).instance(1.0, 1.0)
         bids = np.array([0.6, 0.6])
         arms = np.array([0.2, 0.4, 0.8])
@@ -249,7 +245,7 @@ class TestOptimalSlotSchedule:
 
         monkeypatch.setattr(pricing, "optimal_slot_vector", counting)
         schedule, _ = optimal_slot_schedule(inst.delta, bids, 0, arms)
-        assert calls.count(False) == inst.slot_count + 1
+        assert calls.count(False) == 0  # the others come from the schedule's own DP
         assert calls.count(True) == 1  # the tied arm alone
         for a, x in enumerate(arms):
             assert np.array_equal(schedule[a], full_vector(inst, bids, 0, x))
@@ -268,3 +264,69 @@ class TestOptimalSlotSchedule:
                 grid = arms[::-1]  # any order; the scan sorts
                 assert (pricing._critical_bid_optimal(inst, bids, i, slot, grid)
                         == scan(inst, bids, i, slot, grid))
+
+
+#: Bracket width of the bisection oracle for exact-GSP critical bids.
+BISECT_WIDTH = 1e-10
+
+
+def bisected_critical_bid(inst, bids, i, slot):
+    """Bidder i's lowest own bid that keeps ``slot``, by bisection on the full
+    allocator: an oracle independent of the envelope production uses."""
+    def keeps(x):
+        return full_vector(inst, bids, i, x)[i] == slot
+
+    if keeps(0.0):
+        return 0.0
+    lo, hi = 0.0, float(bids[i])
+    while hi - lo > BISECT_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if keeps(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("tenths", [False, True], ids=["continuous", "tenths"])
+def test_envelope_critical_bid_matches_bisection(tenths):
+    winners = 0
+    for inst, bids, i, _ in schedule_cases(51 + tenths, 300, tenths):
+        slot = int(full_vector(inst, bids, i, bids[i])[i])
+        if slot > 0:
+            price = pricing._critical_bid_optimal(inst, bids, i, slot, None)
+            assert 0.0 <= bisected_critical_bid(inst, bids, i, slot) - price <= BISECT_WIDTH
+            assert price <= bids[i]
+            assert full_vector(inst, bids, i, price)[i] == slot
+            winners += 1
+    assert winners > 500
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6])
+def test_retention_boundary_near_parallel_discounts(gap):
+    # Slots 1 and 2 differ in discount by ``gap`` for every bidder, so the
+    # allocator's tie margin spans TIE_MARGIN / gap of bid around each
+    # breakpoint.  (Below a gap of about 1e-7 float rounding in the weight
+    # sums alone moves the allocator's own breakpoint by more than 1e-9.)
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(80):
+        base = random_instance(rng, n=int(rng.integers(2, 6)), m=int(rng.integers(2, 4)))
+        curves = {}
+        for name, curve in base.curves.items():
+            top = float(rng.uniform(0.3, 1.0))
+            rest = [min(d, top - gap) for d in curve.per_slot[2:]]
+            curves[name] = DiscountCurve((top, top - gap, *rest))
+        inst = AuctionInstance(base.bidders, curves, base.slot_count)
+        bids = conservative_profile(rng, inst)
+        prices = price_gsp(inst, bids, "optimal")
+        for i, s in allocate_optimal(inst, bids).slot_of.items():
+            crit = prices.per_conversion[i]
+            if inst.discount(i, s) == 0.0:
+                continue
+            assert full_vector(inst, bids, i, crit)[i] == s
+            assert full_vector(inst, bids, i, crit + 1e-9)[i] == s
+            if crit > 1e-9:
+                assert full_vector(inst, bids, i, max(crit - 2e-9, 0.0))[i] != s
+            checked += 1
+    assert checked > 150
