@@ -108,14 +108,14 @@ def greedy_slot_vector(weights: np.ndarray, active: np.ndarray | None = None) ->
     """
     n, m = weights.shape
     slot_of = np.full(n, -1, dtype=np.intp)
-    remaining = np.ones(n, dtype=bool) if active is None else active.copy()
-    for s in range(m):
-        if not remaining.any():
-            break
-        eff = np.where(remaining, weights[:, s], -1.0)
-        winner = int(np.argmax(eff))  # first maximum = lowest id
+    if active is None:
+        eff, k = weights.copy(), n
+    else:
+        eff, k = np.where(active[:, None], weights, -1.0), int(np.count_nonzero(active))
+    for s in range(min(k, m)):
+        winner = int(eff[:, s].argmax())  # first maximum = lowest id
         slot_of[winner] = s + 1
-        remaining[winner] = False
+        eff[winner] = -1.0  # placed bidders rank below every weight
     return slot_of
 
 

@@ -94,8 +94,8 @@ def utility_of(instance: AuctionInstance, bids, bidder_id: int, fmt: Format) -> 
     s = int(slot_of[bidder_id])
     if s < 0:
         return 0.0
-    _, expected = _pricing.payment(instance, b, weights, slot_of, bidder_id,
-                                   fmt.allocation, fmt.pricing)
+    _, (expected,) = _pricing.payment(instance, b, weights, slot_of[None], bidder_id,
+                                      fmt.allocation, fmt.pricing)
     return instance.delta[bidder_id, s - 1] * instance.values[bidder_id] - expected
 
 

@@ -306,42 +306,26 @@ def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: For
     """Bidder i's payoff at every bid on its grid, others' bids fixed.
 
     Every arm is scored, the realized one included, so this sweep is the only
-    place a learning round's payoffs come from.  Greedy allocates each arm;
-    the exact allocator's slots at all arms come from one
-    :func:`~posauctions.pricing.optimal_slot_schedule` (one DP over the
-    others), whose i-absent allocation also gives VCG the others' welfare
-    without i.  Every payment goes through :func:`~posauctions.pricing.payment`.
-    Under optimal+GSP the price is the grid one: the lowest arm that wins the
-    same slot, read off the schedule, so ``arms`` must be ascending (a
-    :class:`BidGrid`).
+    place a learning round's payoffs come from.  One slot schedule gives i's
+    allocation at every arm (:func:`~posauctions.pricing.greedy_slot_schedule`
+    or :func:`~posauctions.pricing.optimal_slot_schedule`, m+1 allocations
+    either way), and its i-absent allocation gives VCG the others' welfare
+    without i; one :func:`~posauctions.pricing.payment` call prices all the
+    rows.  Under optimal+GSP the price is the grid one: the lowest arm that
+    wins the same slot, read off the schedule.
     """
     delta = instance.delta
-    v_i = float(instance.values[i])
-    allocation, pricing = fmt.allocation, fmt.pricing
-    trial = bids.copy()
-    weights = delta * trial[:, None]
-    optimal = allocation == "optimal"
-    if optimal:
-        schedule, without = _pricing.optimal_slot_schedule(delta, bids, i, arms)
-    else:
-        allocate = _pricing.allocator(allocation)
-    others_without = None
-    if pricing == "vcg":
-        others_without = (_pricing.welfare_of(weights, without) if optimal
-                          else _pricing.welfare_without(weights, i, allocation))
-    lowest: dict[int, float] = {}  # slot -> lowest arm winning it
+    weights = delta * bids[:, None]
+    schedule_of = (_pricing.greedy_slot_schedule if fmt.allocation == "greedy"
+                   else _pricing.optimal_slot_schedule)
+    schedule, without = schedule_of(delta, bids, i, arms)
+    _, pay = _pricing.payment(instance, bids, weights, schedule, i, fmt.allocation,
+                              fmt.pricing, arms=arms,
+                              others_without=_pricing.welfare_of(weights, without), grid=arms)
+    held = schedule[:, i]
+    won = held > 0
     u = np.zeros(arms.size)
-    for a in range(arms.size):
-        trial[i] = arms[a]
-        weights[i] = delta[i] * arms[a]
-        slot_of = schedule[a] if optimal else allocate(weights)
-        s = int(slot_of[i])
-        lowest.setdefault(s, float(arms[a]))
-        if s > 0:
-            _, pay = _pricing.payment(instance, trial, weights, slot_of, i, allocation,
-                                      pricing, others_without=others_without,
-                                      critical=lowest[s])
-            u[a] = delta[i, s - 1] * v_i - pay
+    u[won] = delta[i, held[won] - 1] * float(instance.values[i]) - pay[won]
     return u
 
 

@@ -152,13 +152,8 @@ def deviation_grid(named: NamedInstance, resolution: int) -> np.ndarray:
     return np.unique(np.concatenate([base, np.asarray(probes)]))
 
 
-def verify_pure_nash(named: NamedInstance, *, resolution: int = 10_000,
-                     tolerance: float = 1e-6) -> float:
-    """Largest utility gain any bidder can grab on the deviation grid.
-
-    A value at most ``tolerance`` certifies the profile as an approximate
-    pure Nash equilibrium on that grid.
-    """
+def verify_pure_nash(named: NamedInstance, *, resolution: int = 10_000) -> float:
+    """Largest utility gain any bidder can grab on the deviation grid."""
     grid = deviation_grid(named, resolution)
     worst = -math.inf
     for i in range(named.instance.n):
@@ -203,7 +198,7 @@ def poa_suite(epsilon: float = 0.01, optgsp_delta_a: float = 0.001, *,
         if abs(outcome.true_welfare - named.equilibrium_welfare) > 1e-9 \
                 or abs(opt - named.optimal_welfare) > 1e-9 or abs(brute - opt) > 1e-9:
             raise AuctionError(f"fixture {named.name} disagrees with the engine")
-        gain = verify_pure_nash(named, resolution=resolution, tolerance=tolerance)
+        gain = verify_pure_nash(named, resolution=resolution)
         ratio = named.welfare_ratio
         rows.append(PoaRow(
             fmt=named.fmt.value, name=named.name, epsilon=eps,

@@ -138,7 +138,7 @@ def as_bids(instance: AuctionInstance, bids: "BidProfile | Sequence[float] | np.
         arr = np.array(bids, dtype=float)
     if arr.shape != (instance.n,):
         raise AuctionError(f"expected {instance.n} bids, got shape {arr.shape}")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    if (arr < 0).any() or not np.isfinite(arr).all():
         raise AuctionError("bids must be finite and non-negative")
     return arr
 

@@ -4,12 +4,12 @@ GSP charges the minimum bid under which a bidder retains the slot it was
 assigned (closed threshold: the critical bid itself retains).  VCG charges
 the externality, re-running the allocation with the bidder removed and
 measuring everyone else's change in discounted bids.  :func:`payment` is the
-one implementation of both rules under both allocators; the pricers, the
-engine's single-bidder payoff and the learners' arm sweep all call it.
-Under exact allocation one DP over the others gives a bidder's allocation
-at every bid (:func:`optimal_slot_schedule`) and its exact-GSP critical bid,
-both from the upper envelope of one line per slot it could hold, read with
-the allocator's own tie rule (:mod:`.allocation`).
+one implementation of both rules under both allocators, array-valued over
+the rows of a bidder's slot schedule: its allocation at every bid of a grid
+from m+1 allocations (:func:`greedy_slot_schedule`,
+:func:`optimal_slot_schedule`).  The exact-GSP critical bid is read off the
+upper envelope of one line per slot the bidder could hold, with the
+allocator's own tie rule (:mod:`.allocation`).
 """
 from __future__ import annotations
 
@@ -41,11 +41,38 @@ def welfare_of(weights: np.ndarray, slot_of: np.ndarray) -> float:
     return float(weights[idx, slot_of[idx] - 1].sum())
 
 
-def welfare_without(weights: np.ndarray, i: int, allocation: str) -> float:
-    """Welfare of the allocation that the others get when bidder i is absent."""
-    active = np.ones(weights.shape[0], dtype=bool)
-    active[i] = False
-    return welfare_of(weights, allocator(allocation)(weights, active))
+def greedy_slot_schedule(delta: np.ndarray, bids: np.ndarray, i: int,
+                         arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy slot vectors with bidder i bidding each of ``arms``; the same
+    contract as :func:`optimal_slot_schedule`.
+
+    Greedy without i gives each slot s its winner w_s and threshold c_s, w_s's
+    weight there (-1 when no other bidder is left).  Bidder i enters at the
+    first s where its weight beats c_s, or ties it with i < w_s: above s the
+    run is greedy's without i, and below s it is greedy on the others not yet
+    placed.  So m+1 greedy runs give every row.
+    """
+    weights = delta * bids[:, None]
+    n, m = weights.shape
+    remaining = np.arange(n) != i
+    without = greedy_slot_vector(weights, remaining)
+    winner = np.full(m, -1)
+    placed = np.flatnonzero(without > 0)
+    winner[without[placed] - 1] = placed
+    threshold = np.where(winner >= 0, weights[winner, np.arange(m)], -1.0)
+    own = delta[i] * arms[:, None]
+    enters = (own > threshold) | ((own == threshold) & (i < winner))
+    vectors = np.empty((m + 1, n), dtype=np.intp)
+    vectors[m] = without  # i enters nowhere
+    for s in range(m):
+        row = np.where(without <= s, without, -1)
+        row[i] = s + 1
+        below = greedy_slot_vector(weights[:, s + 1:], remaining)
+        row[below > 0] = below[below > 0] + s + 1
+        vectors[s] = row
+        if winner[s] >= 0:
+            remaining[winner[s]] = False
+    return vectors[np.where(enters.any(axis=1), enters.argmax(axis=1), m)], without
 
 
 def _options(delta: np.ndarray, bids: np.ndarray,
@@ -96,39 +123,61 @@ def optimal_slot_schedule(delta: np.ndarray, bids: np.ndarray, i: int,
 
 
 def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
-            slot_of: np.ndarray, i: int, allocation: str, pricing: str, *,
-            others_without: float | None = None, critical: float | None = None,
-            grid: np.ndarray | None = None) -> tuple[float, float]:
-    """Winner i's ``(per-conversion price, expected payment)`` under one format.
+            schedule: np.ndarray, i: int, allocation: str, pricing: str, *,
+            arms: np.ndarray | None = None, others_without: float | None = None,
+            grid: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Bidder i's ``(per-conversion prices, expected payments)`` under one
+    format, one entry per row of ``schedule``; 0 where i holds no slot.
 
-    ``weights`` and ``slot_of`` describe the profile ``bids`` and its
-    allocation; i must hold a slot.  VCG takes the others' welfare without i
-    precomputed when ``others_without`` is given; GSP under optimal allocation
-    takes a known critical bid as ``critical``; otherwise it takes the lowest
-    bid at which the allocator's tie rule puts i's slot on top of the upper
-    envelope of its option lines (:func:`_options`), or, given ``grid``, the
-    lowest grid bid that :func:`optimal_slot_schedule` places in the same
-    slot.  A winner whose discount at its slot is zero has per-conversion
-    price 0; the expected payment carries the whole charge.
+    Row a of ``schedule`` is the allocation of ``bids`` with i bidding
+    ``arms[a]`` (a schedule from :func:`greedy_slot_schedule` or
+    :func:`optimal_slot_schedule`; without ``arms``, one row at ``bids[i]``).
+    ``weights`` is ``bids``' weight matrix; its row i is not read.  VCG
+    takes the others' welfare without i as ``others_without``, or allocates
+    it.  GSP under optimal allocation charges, given ``grid``, the lowest
+    grid bid that places i in the same slot (read off the rows when
+    ``arms`` is the grid itself); otherwise the lowest bid at which the
+    allocator's tie rule puts i's slot on top of the upper envelope of its
+    option lines (:func:`_options`).  A winner whose discount at its slot is
+    zero has per-conversion price 0; the expected payment carries the whole
+    charge.
     """
-    s = int(slot_of[i])
-    d = instance.delta[i, s - 1]
+    arms = bids[i:i + 1] if arms is None else arms
+    n, m = weights.shape
+    held = schedule[:, i]
+    won = held > 0
+    s = held - won  # i's slot index; a row where i holds none reads slot m...
+    d = instance.delta[i][s] * won  # ...with a zero discount, and pays 0
     if pricing == "vcg":
         if others_without is None:
-            others_without = welfare_without(weights, i, allocation)
-        e = others_without - (welfare_of(weights, slot_of) - float(weights[i, s - 1]))
-        if -TOL <= e < 0.0:
-            e = 0.0
+            others_without = welfare_of(weights, allocator(allocation)(weights, np.arange(n) != i))
+        # Every row fills min(n, m) slots, so its winners, taken in id order,
+        # form one row of a rectangle: each summed as welfare_of sums them.
+        placed = schedule > 0
+        bidder = np.nonzero(placed)[1]
+        values = weights[bidder, schedule[placed] - 1]
+        own = d * arms  # i's weight in its slot
+        values[bidder == i] = own[won]
+        e = others_without - (values.reshape(-1, min(n, m)).sum(axis=1) - own)
+        e[(-TOL <= e) & (e < 0.0)] = 0.0
     elif allocation == "greedy":
         # The best discounted bid at slot s among the bidders greedy had not
         # yet placed when it filled s (i itself holds s); matching it keeps the slot.
-        unplaced = (slot_of < 0) | (slot_of > s)
-        e = max(float(np.where(unplaced, weights[:, s - 1], -1.0).max()), 0.0)
+        unplaced = (schedule < 0) | (schedule > held[:, None])
+        e = np.maximum(np.where(unplaced, weights.T[s], -1.0).max(axis=1), 0.0)
     else:
-        if critical is None:
-            critical = _critical_bid_optimal(instance, bids, i, s, grid)
-        return (critical if d > 0 else 0.0), d * critical
-    return (e / d if d > 0 else 0.0), e
+        if grid is not None and np.array_equal(arms, grid):
+            lowest = np.full(m + 1, np.inf)
+            np.minimum.at(lowest, held[won], arms[won])
+            critical = np.where(won, lowest[held], 0.0)
+        else:
+            trial, critical = bids.copy(), np.zeros(arms.size)
+            for a in np.flatnonzero(won).tolist():
+                trial[i] = arms[a]
+                critical[a] = _critical_bid_optimal(instance, trial, i, int(held[a]), grid)
+        return np.where(d > 0, critical, 0.0), d * critical
+    e = e * won
+    return np.divide(e, d, out=np.zeros(e.size), where=d > 0), e
 
 
 @dataclass(frozen=True)
@@ -177,8 +226,9 @@ def _price_winners(instance: AuctionInstance, bids, allocation: str, pricing: st
     per_conv = np.zeros(instance.n)
     expected = np.zeros(instance.n)
     for i in map(int, np.flatnonzero(slot_of > 0)):
-        per_conv[i], expected[i] = payment(instance, b, weights, slot_of, i, allocation,
-                                           pricing, grid=_grid_for(bid_grid, i))
+        (per_conv[i],), (expected[i],) = payment(instance, b, weights, slot_of[None], i,
+                                                 allocation, pricing,
+                                                 grid=_grid_for(bid_grid, i))
     return PriceVector(tuple(map(float, per_conv)), tuple(map(float, expected)), slot_of)
 
 

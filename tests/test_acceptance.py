@@ -76,10 +76,10 @@ def test_c03_degenerate_collapse():
 def test_c04_poa_fixtures():
     eps = 0.01
     g = greedy_gsp_gap(eps)
-    gain_g = verify_pure_nash(g, resolution=10_000, tolerance=1e-6)
+    gain_g = verify_pure_nash(g, resolution=10_000)
     ratio_g = g.welfare_ratio
     t = greedy_vcg_gap(eps)
-    gain_t = verify_pure_nash(t, resolution=10_000, tolerance=1e-6)
+    gain_t = verify_pure_nash(t, resolution=10_000)
     ratio_t = t.welfare_ratio
     f0 = optgsp_family(0.0)
     ok = (gain_g <= 1e-6 and ratio_g == pytest.approx(2 - eps, abs=1e-12)

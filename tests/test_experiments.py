@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from posauctions import datasets
+from posauctions import datasets, pricing
+from posauctions.allocation import allocate_greedy
 from posauctions.engine import (Format, conservative_profile, counterfactual_utility,
                                 outcome_utilities, random_instance, run_auction)
 from posauctions.experiments import (ExperimentConfig, _arm_utilities,
                                      flat_payoff_threshold, run_experiment1,
                                      run_experiment23, summarize)
 from posauctions.analytic import TwoByTwoSetting
-from posauctions.model import AuctionError
+from posauctions.model import AuctionError, AuctionInstance, Bidder, DiscountCurve, TOL
+from posauctions.pricing import vcg_greedy_payment_recursion
 
 
 def exp1_config(**overrides):
@@ -68,18 +70,73 @@ class TestConfig:
             cfg.validate_dataset_run()
 
 
+def tenths_instance(rng, n, m):
+    """Discounts, values and bids on the tenths grid, where slots tie often."""
+    curves = {f"t{k}": DiscountCurve(tuple(np.sort(rng.integers(0, 11, m))[::-1] / 10))
+              for k in range(3)}
+    bidders = tuple(Bidder(i, f"t{int(rng.integers(3))}", float(rng.integers(0, 11)) / 10)
+                    for i in range(n))
+    return AuctionInstance(bidders, curves, m), rng.integers(0, 11, n) / 10
+
+
 class TestArmUtilities:
     @pytest.mark.parametrize("fmt", [Format.GREEDY_GSP, Format.GREEDY_VCG, Format.OPT_VCG])
     def test_matches_counterfactuals_continuous(self, fmt):
+        # continuous prices, so not opt_gsp, whose sweep charges grid prices;
+        # the tenths instances put ties at grid bids, n <= m and m = 1 included
         rng = np.random.default_rng(17)
+        cases = []
         for _ in range(6):
             inst = random_instance(rng, n=4, m=3, min_discount=0.05)
-            bids = conservative_profile(rng, inst)
-            arms = np.linspace(0.0, 1.0, 7)
+            cases.append((inst, conservative_profile(rng, inst), np.linspace(0.0, 1.0, 7)))
+        for k in range(40):
+            cases.append((*tenths_instance(rng, n=1 + k % 9, m=1 + k % 4),
+                          np.linspace(0.0, 1.0, 11)))
+        for inst, bids, arms in cases:
             for i in range(inst.n):
                 got = _arm_utilities(inst, bids, i, fmt, arms)
                 want = [counterfactual_utility(inst, bids, i, float(a), fmt) for a in arms]
-                assert np.allclose(got, want, atol=1e-9)
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("tenths", [False, True], ids=["continuous", "tenths"])
+    def test_greedy_vcg_matches_payment_recursion(self, tenths):
+        # the recursion is an independent derivation of greedy-VCG payments
+        rng = np.random.default_rng(27)
+        arms = np.linspace(0.0, 1.0, 11)
+        for k in range(30):
+            if tenths:
+                inst, bids = tenths_instance(rng, n=1 + k % 8, m=1 + k % 4)
+            else:
+                inst = random_instance(rng, n=1 + k % 8, m=1 + k % 4)
+                bids = conservative_profile(rng, inst)
+            for i in range(inst.n):
+                got = _arm_utilities(inst, bids, i, Format.GREEDY_VCG, arms)
+                for a, x in enumerate(arms):
+                    trial = bids.copy()
+                    trial[i] = x
+                    s = allocate_greedy(inst, trial).slot_of.get(i)
+                    want = 0.0 if s is None else (
+                        inst.discount(i, s) * inst.values[i]
+                        - vcg_greedy_payment_recursion(inst, trial)[i])
+                    assert abs(got[a] - want) <= TOL
+
+    @pytest.mark.parametrize("fmt", [Format.GREEDY_GSP, Format.GREEDY_VCG])
+    def test_greedy_sweep_allocates_m_plus_one_times(self, monkeypatch, fmt):
+        # greedy once without the bidder, then once per slot it could enter,
+        # however many arms the sweep scores
+        rng = np.random.default_rng(5)
+        inst = random_instance(rng, n=9, m=4)
+        arms = np.linspace(0.0, 1.0, 21)
+        calls = []
+        real = pricing.greedy_slot_vector
+
+        def counting(weights, active=None):
+            calls.append(active)
+            return real(weights, active)
+
+        monkeypatch.setattr(pricing, "greedy_slot_vector", counting)
+        _arm_utilities(inst, arms[rng.integers(arms.size, size=inst.n)], 3, fmt, arms)
+        assert len(calls) == inst.slot_count + 1
 
     def test_opt_gsp_grid_pricing_matches_full_run(self):
         rng = np.random.default_rng(19)

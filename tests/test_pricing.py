@@ -3,13 +3,15 @@ import pytest
 
 from posauctions.analytic import TwoByTwoSetting
 from posauctions import pricing
-from posauctions.allocation import allocate_greedy, allocate_optimal, optimal_slot_vector
+from posauctions.allocation import (allocate_greedy, allocate_optimal, greedy_slot_vector,
+                                   optimal_slot_vector)
 from posauctions.engine import (Format, conservative_profile, counterfactual_utility,
                                 random_instance, run_auction, utility_of)
 from posauctions.fixtures import greedy_vcg_gap
 from posauctions.model import AuctionInstance, Bidder, DiscountCurve
-from posauctions.pricing import (certify_no_overcharge, optimal_slot_schedule, price_gsp,
-                                 price_vcg, vcg_greedy_payment_recursion)
+from posauctions.pricing import (certify_no_overcharge, greedy_slot_schedule,
+                                 optimal_slot_schedule, price_gsp, price_vcg,
+                                 vcg_greedy_payment_recursion)
 
 
 def symmetric_two_slot(delta=1.0):
@@ -264,6 +266,21 @@ class TestOptimalSlotSchedule:
                 grid = arms[::-1]  # any order; the scan sorts
                 assert (pricing._critical_bid_optimal(inst, bids, i, slot, grid)
                         == scan(inst, bids, i, slot, grid))
+
+
+class TestGreedySlotSchedule:
+    @pytest.mark.parametrize("tenths", [False, True], ids=["continuous", "tenths"])
+    def test_matches_allocator_at_every_arm(self, tenths):
+        for inst, bids, i, arms in schedule_cases(61 + tenths, 150, tenths):
+            schedule, without = greedy_slot_schedule(inst.delta, bids, i, arms)
+            others = np.arange(inst.n) != i
+            assert np.array_equal(without, greedy_slot_vector(inst.delta * bids[:, None],
+                                                              others))
+            for a, x in enumerate(arms):
+                trial = bids.copy()
+                trial[i] = x
+                assert np.array_equal(schedule[a],
+                                      greedy_slot_vector(inst.delta * trial[:, None]))
 
 
 #: Bracket width of the bisection oracle for exact-GSP critical bids.
