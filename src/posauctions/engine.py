@@ -1,7 +1,8 @@
 """The four formats behind one interface, and the queries built on them.
 
 ``run_auction`` composes an allocator with its pricing rule (both from
-:mod:`.pricing`); ``utility_of`` prices one bidder only.  Also here: the
+:mod:`.pricing`); ``utility_of`` prices one bidder only, and
+``sweep_utilities`` one bidder at every bid of a grid.  Also here: the
 deviation-inequality check behind the welfare-loss bounds, the empirical
 welfare ratio, and the random instances the property tests draw.
 """
@@ -89,6 +90,10 @@ def utility_of(instance: AuctionInstance, bids, bidder_id: int, fmt: Format) -> 
     """Payoff of one bidder without pricing everyone else (hot-path helper)."""
     b = as_bids(instance, bids)
     instance._check_bidder(bidder_id)
+    return _utility(instance, b, bidder_id, fmt)
+
+
+def _utility(instance: AuctionInstance, b: np.ndarray, bidder_id: int, fmt: Format) -> float:
     weights = weight_matrix(instance, b)
     slot_of = _pricing.allocator(fmt.allocation)(weights)
     s = int(slot_of[bidder_id])
@@ -102,11 +107,40 @@ def utility_of(instance: AuctionInstance, bids, bidder_id: int, fmt: Format) -> 
 def counterfactual_utility(instance: AuctionInstance, bids, bidder_id: int,
                            alternative_bid: float, fmt: Format) -> float:
     """Payoff of ``bidder_id`` after unilaterally deviating to ``alternative_bid``."""
-    if alternative_bid < 0:
-        raise AuctionError("alternative bid must be non-negative")
+    if not (math.isfinite(alternative_bid) and alternative_bid >= 0):
+        raise AuctionError("alternative bid must be finite and non-negative")
+    instance._check_bidder(bidder_id)
     b = as_bids(instance, bids)
     b[bidder_id] = alternative_bid
-    return utility_of(instance, b, bidder_id, fmt)
+    return _utility(instance, b, bidder_id, fmt)
+
+
+def sweep_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: Format,
+                    arms: np.ndarray, *, grid: np.ndarray | None = None) -> np.ndarray:
+    """Bidder i's payoff at every bid of ``arms``, the others' bids fixed.
+
+    Entry a equals ``counterfactual_utility(instance, bids, i, arms[a], fmt)``
+    bit for bit, except that given ``grid`` optimal+GSP charges grid prices
+    (see :func:`~posauctions.pricing.payment`).  One slot schedule gives i's
+    allocation at every arm (:func:`~posauctions.pricing.greedy_slot_schedule`
+    or :func:`~posauctions.pricing.optimal_slot_schedule`, m+1 allocations
+    either way), and its i-absent allocation gives VCG the others' welfare
+    without i; one ``payment`` call prices all the rows.  ``bids`` is a
+    validated float profile; ``bids[i]`` is not read.
+    """
+    delta = instance.delta
+    weights = delta * bids[:, None]
+    schedule_of = (_pricing.greedy_slot_schedule if fmt.allocation == "greedy"
+                   else _pricing.optimal_slot_schedule)
+    schedule, without = schedule_of(delta, bids, i, arms)
+    _, pay = _pricing.payment(instance, bids, weights, schedule, i, fmt.allocation,
+                              fmt.pricing, arms=arms,
+                              others_without=_pricing.welfare_of(weights, without), grid=grid)
+    held = schedule[:, i]
+    won = held > 0
+    u = np.zeros(arms.size)
+    u[won] = delta[i, held[won] - 1] * float(instance.values[i]) - pay[won]
+    return u
 
 
 def optimal_true_welfare(instance: AuctionInstance, values: np.ndarray | None = None) -> float:

@@ -23,10 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pricing as _pricing
 from .analytic import TwoByTwoSetting, equilibrium_strategy, simulate_profiles
 from .datasets import BidDataset, sample_valuations
-from .engine import Format, optimal_true_welfare, run_auction
+from .engine import Format, optimal_true_welfare, run_auction, sweep_utilities
 from .learning import (AverageEmpiricalDistribution, BidGrid, ExpWeights,
                        optimal_learning_rate, write_trace_csv)
 from .model import AuctionError, AuctionInstance, Bidder, geometric_curve
@@ -306,27 +305,10 @@ def _arm_utilities(instance: AuctionInstance, bids: np.ndarray, i: int, fmt: For
     """Bidder i's payoff at every bid on its grid, others' bids fixed.
 
     Every arm is scored, the realized one included, so this sweep is the only
-    place a learning round's payoffs come from.  One slot schedule gives i's
-    allocation at every arm (:func:`~posauctions.pricing.greedy_slot_schedule`
-    or :func:`~posauctions.pricing.optimal_slot_schedule`, m+1 allocations
-    either way), and its i-absent allocation gives VCG the others' welfare
-    without i; one :func:`~posauctions.pricing.payment` call prices all the
-    rows.  Under optimal+GSP the price is the grid one: the lowest arm that
-    wins the same slot, read off the schedule.
+    place a learning round's payoffs come from.  Under optimal+GSP the price
+    is the grid one: the lowest arm that wins the same slot.
     """
-    delta = instance.delta
-    weights = delta * bids[:, None]
-    schedule_of = (_pricing.greedy_slot_schedule if fmt.allocation == "greedy"
-                   else _pricing.optimal_slot_schedule)
-    schedule, without = schedule_of(delta, bids, i, arms)
-    _, pay = _pricing.payment(instance, bids, weights, schedule, i, fmt.allocation,
-                              fmt.pricing, arms=arms,
-                              others_without=_pricing.welfare_of(weights, without), grid=arms)
-    held = schedule[:, i]
-    won = held > 0
-    u = np.zeros(arms.size)
-    u[won] = delta[i, held[won] - 1] * float(instance.values[i]) - pay[won]
-    return u
+    return sweep_utilities(instance, bids, i, fmt, arms, grid=arms)
 
 
 def run_experiment23(config: ExperimentConfig, dataset: BidDataset, *,

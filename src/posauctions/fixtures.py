@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import allocate_bruteforce
-from .engine import Format, counterfactual_utility, optimal_true_welfare, run_auction, utility_of
-from .model import AuctionError, AuctionInstance, Bidder, DiscountCurve, welfare
+from .engine import Format, optimal_true_welfare, run_auction, sweep_utilities
+from .model import AuctionError, AuctionInstance, Bidder, DiscountCurve, as_bids, welfare
 
 
 @dataclass(frozen=True)
@@ -153,16 +153,19 @@ def deviation_grid(named: NamedInstance, resolution: int) -> np.ndarray:
 
 
 def verify_pure_nash(named: NamedInstance, *, resolution: int = 10_000) -> float:
-    """Largest utility gain any bidder can grab on the deviation grid."""
+    """Largest utility gain any bidder can grab on the deviation grid.
+
+    Each bidder's whole grid, plus its own bid for the realized payoff, is
+    scored by one :func:`~posauctions.engine.sweep_utilities` call with
+    continuous prices: one slot schedule and one payment call per bidder,
+    each entry equal to ``counterfactual_utility`` at that bid.
+    """
     grid = deviation_grid(named, resolution)
+    bids = as_bids(named.instance, named.bids)
     worst = -math.inf
     for i in range(named.instance.n):
-        realized = utility_of(named.instance, named.bids, i, named.fmt)
-        for dev in grid:
-            gain = counterfactual_utility(named.instance, named.bids, i, float(dev),
-                                          named.fmt) - realized
-            if gain > worst:
-                worst = gain
+        u = sweep_utilities(named.instance, bids, i, named.fmt, np.append(grid, bids[i]))
+        worst = max(worst, float((u[:-1] - u[-1]).max()))
     return float(worst)
 
 

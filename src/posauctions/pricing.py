@@ -138,7 +138,9 @@ def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
     grid bid that places i in the same slot (read off the rows when
     ``arms`` is the grid itself); otherwise the lowest bid at which the
     allocator's tie rule puts i's slot on top of the upper envelope of its
-    option lines (:func:`_options`).  A winner whose discount at its slot is
+    option lines (:func:`_options`), capped at the row's bid.  That envelope
+    price reads only the others' bids, so it is solved once per slot the
+    rows hold, not once per row.  A winner whose discount at its slot is
     zero has per-conversion price 0; the expected payment carries the whole
     charge.
     """
@@ -166,12 +168,18 @@ def payment(instance: AuctionInstance, bids: np.ndarray, weights: np.ndarray,
         unplaced = (schedule < 0) | (schedule > held[:, None])
         e = np.maximum(np.where(unplaced, weights.T[s], -1.0).max(axis=1), 0.0)
     else:
-        if grid is not None and np.array_equal(arms, grid):
+        critical = np.zeros(arms.size)
+        if grid is None:
+            for slot in set(held[won].tolist()):
+                rows = held == slot
+                price = _critical_bid_optimal(instance, bids, i, slot, None)
+                critical[rows] = np.minimum(price, arms[rows])
+        elif np.array_equal(arms, grid):
             lowest = np.full(m + 1, np.inf)
             np.minimum.at(lowest, held[won], arms[won])
             critical = np.where(won, lowest[held], 0.0)
         else:
-            trial, critical = bids.copy(), np.zeros(arms.size)
+            trial = bids.copy()
             for a in np.flatnonzero(won).tolist():
                 trial[i] = arms[a]
                 critical[a] = _critical_bid_optimal(instance, trial, i, int(held[a]), grid)
@@ -242,6 +250,13 @@ def _grid_for(bid_grid, i: int):
 
 def _critical_bid_optimal(instance: AuctionInstance, b: np.ndarray, i: int, slot: int,
                           grid: np.ndarray | None) -> float:
+    """Bidder i's exact-GSP critical bid for ``slot`` against the others' bids.
+
+    Given ``grid``, the lowest grid bid that places i in ``slot``, or ``b[i]``
+    when none does.  Otherwise the start of ``slot``'s interval on the upper
+    envelope of i's option lines, confirmed by the full allocator; it does
+    not read ``b[i]``, and the caller caps it at i's bid.
+    """
     delta = instance.delta
     if grid is not None:
         grid = np.sort(grid)
@@ -270,15 +285,13 @@ def _critical_bid_optimal(instance: AuctionInstance, b: np.ndarray, i: int, slot
         price = max(price, tie_point(line, other))
         if ahead(t) < own:
             price = max(price, tie_point(other, line))
-    price = min(price, float(b[i]))
     trial = b.copy()
     trial[i] = price
-    if price < b[i] and optimal_slot_vector(delta * trial[:, None])[i] != slot:
+    if optimal_slot_vector(delta * trial[:, None])[i] != slot:
         # the allocator sums in another order than these lines, off by a few
         # ulps of the top weight: step past that
         gap = slopes[s] - slopes[flatter].max()
-        price = min(price + 1e-3 * tie_margin(slopes[s] * price + heights[s]) / gap,
-                    float(b[i]))
+        price += 1e-3 * tie_margin(slopes[s] * price + heights[s]) / gap
     return float(price)
 
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from posauctions.engine import (Format, check_semismoothness, conservative_profile,
-                                counterfactual_utility, empirical_poa, optimal_true_welfare,
-                                outcome_utilities, random_instance, run_auction,
-                                smoothness_parameters)
-from posauctions.fixtures import greedy_gsp_gap, greedy_vcg_gap
+from posauctions.engine import (ALL_FORMATS, Format, check_semismoothness,
+                                conservative_profile, counterfactual_utility, empirical_poa,
+                                optimal_true_welfare, outcome_utilities, random_instance,
+                                run_auction, smoothness_parameters, sweep_utilities)
+from posauctions.fixtures import deviation_grid, greedy_gsp_gap, greedy_vcg_gap, optgsp_family
 from posauctions.model import AuctionError, AuctionInstance, Bidder, DiscountCurve
+from test_pricing import schedule_cases
 
 
 class TestRunAuction:
@@ -97,6 +98,37 @@ class TestCounterfactual:
         g = greedy_gsp_gap(0.1)
         with pytest.raises(AuctionError):
             counterfactual_utility(g.instance, g.bids, 0, -0.1, Format.GREEDY_GSP)
+
+    @pytest.mark.parametrize("bid", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bid_rejected(self, bid):
+        g = greedy_gsp_gap(0.1)
+        with pytest.raises(AuctionError):
+            counterfactual_utility(g.instance, g.bids, 0, bid, Format.GREEDY_GSP)
+
+
+def sweep_cases():
+    """Random instances (tenths-grid ties, n <= m and m = 1 included), then the
+    bad-equilibrium fixtures on their deviation grids with one-ulp probes;
+    ``optgsp_family(0.0)`` gives A a zero discount in slot 2."""
+    for tenths in (False, True):
+        yield from schedule_cases(71 + tenths, 120, tenths)
+    for named in (greedy_gsp_gap(0.1), greedy_vcg_gap(0.1), optgsp_family(0.0),
+                  optgsp_family(0.001), optgsp_family(0.25)):
+        bids = np.array(named.bids)
+        for i in range(named.instance.n):
+            yield named.instance, bids, i, deviation_grid(named, 40)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.value)
+def test_sweep_matches_counterfactuals(fmt):
+    for inst, bids, i, arms in sweep_cases():
+        got = sweep_utilities(inst, bids, i, fmt, arms)
+        want = [counterfactual_utility(inst, bids, i, float(a), fmt) for a in arms]
+        assert got.tolist() == want
+        trial = bids.copy()
+        trial[i] = 7.0  # the sweep never reads i's own bid
+        assert sweep_utilities(inst, trial, i, fmt, arms).tolist() == want
 
 
 class TestSemismoothness:

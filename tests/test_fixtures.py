@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from posauctions.fixtures import (greedy_gsp_gap, greedy_vcg_gap, optgsp_family, poa_suite,
-                                  verify_pure_nash)
+from posauctions import pricing
+from posauctions.engine import counterfactual_utility, utility_of
+from posauctions.fixtures import (deviation_grid, greedy_gsp_gap, greedy_vcg_gap, optgsp_family,
+                                  poa_suite, verify_pure_nash)
 from posauctions.model import AuctionError
 
 
@@ -112,3 +116,47 @@ class TestSuite:
         assert 1.0 in grid
         assert np.nextafter(1.0, 0.0) in grid
         assert np.nextafter(1.0, np.inf) in grid
+
+
+def per_deviation_gain(named, resolution):
+    """The largest gain by one scalar counterfactual per deviation: the loop
+    that :func:`verify_pure_nash` replaces with one sweep per bidder."""
+    worst = -math.inf
+    for i in range(named.instance.n):
+        realized = utility_of(named.instance, named.bids, i, named.fmt)
+        for dev in deviation_grid(named, resolution):
+            gain = counterfactual_utility(named.instance, named.bids, i, float(dev),
+                                          named.fmt) - realized
+            if gain > worst:
+                worst = gain
+    return float(worst)
+
+
+def perturbed_greedy_gsp_gap():
+    bad = greedy_gsp_gap(0.1)
+    object.__setattr__(bad, "bids", (0.9, 1.0))
+    return bad
+
+
+@pytest.mark.parametrize("named", [
+    greedy_gsp_gap(0.01), greedy_gsp_gap(0.1), greedy_gsp_gap(0.5),
+    greedy_vcg_gap(0.01), greedy_vcg_gap(0.1), greedy_vcg_gap(0.3),
+    optgsp_family(0.0), optgsp_family(0.001), optgsp_family(0.25), optgsp_family(0.4),
+    perturbed_greedy_gsp_gap(),
+], ids=lambda named: f"{named.name}{named.bids}")
+def test_verify_pure_nash_matches_per_deviation_loop(named):
+    assert verify_pure_nash(named, resolution=400).hex() == per_deviation_gain(named, 400).hex()
+
+
+def test_optgsp_verification_prices_once_per_slot(monkeypatch):
+    named = optgsp_family(0.001)
+    calls = []
+    real = pricing._critical_bid_optimal
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pricing, "_critical_bid_optimal", counting)
+    verify_pure_nash(named, resolution=2000)
+    assert 0 < len(calls) <= named.instance.n * named.instance.slot_count

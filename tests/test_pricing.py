@@ -283,6 +283,23 @@ class TestGreedySlotSchedule:
                                       greedy_slot_vector(inst.delta * trial[:, None]))
 
 
+@pytest.mark.parametrize("tenths", [False, True], ids=["continuous", "tenths"])
+def test_per_slot_gsp_prices_match_one_row_calls(tenths):
+    # one envelope price per slot held, capped per row, as one-row calls price it
+    for inst, bids, i, arms in schedule_cases(81 + tenths, 80, tenths):
+        arms = arms[::-1]  # any order
+        weights = inst.delta * bids[:, None]
+        schedule, _ = optimal_slot_schedule(inst.delta, bids, i, arms)
+        per_conv, expected = pricing.payment(inst, bids, weights, schedule, i, "optimal", "gsp",
+                                             arms=arms)
+        for a, x in enumerate(arms):
+            trial = bids.copy()
+            trial[i] = x
+            one = pricing.payment(inst, trial, inst.delta * trial[:, None], schedule[a:a + 1], i,
+                                  "optimal", "gsp")
+            assert (per_conv[a], expected[a]) == (one[0][0], one[1][0])
+
+
 #: Bracket width of the bisection oracle for exact-GSP critical bids.
 BISECT_WIDTH = 1e-10
 
@@ -311,7 +328,8 @@ def test_envelope_critical_bid_matches_bisection(tenths):
     for inst, bids, i, _ in schedule_cases(51 + tenths, 300, tenths):
         slot = int(full_vector(inst, bids, i, bids[i])[i])
         if slot > 0:
-            price = pricing._critical_bid_optimal(inst, bids, i, slot, None)
+            # the envelope price does not read i's bid; its callers cap it there
+            price = min(pricing._critical_bid_optimal(inst, bids, i, slot, None), bids[i])
             assert 0.0 <= bisected_critical_bid(inst, bids, i, slot) - price <= BISECT_WIDTH
             assert price <= bids[i]
             assert full_vector(inst, bids, i, price)[i] == slot
